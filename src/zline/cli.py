@@ -21,9 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import __version__
+from . import __version__, _angles
 from .errors import ConvergenceError, PhaseTrackError
 from .phase import rho0
 from .quad import QuadratureConfig, f_integral
@@ -115,8 +113,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     eps = float(args.eps)
     if t < 0.0:
         return _usage_error("--t must be nonnegative")
-    if not 0.5 < sigma < 7.5:
-        return _usage_error("--sigma must lie inside the strip (0.5, 7.5)")
+    if not 0.5 < sigma < 5.0 or abs(sigma - 3.0) < 1e-9:
+        return _usage_error("--sigma must lie in (0.5, 5) excluding 3")
     if not 0.0 < eps <= 1e-2:
         return _usage_error("--eps must lie in (0, 1e-2]")
     try:
@@ -240,7 +238,7 @@ def cmd_hstat(args: argparse.Namespace) -> int:
         return _numerical_error(str(exc))
     except ConvergenceError as exc:
         return _numerical_error(str(exc))
-    scale = 0.5 * t * (math.log(t) - math.log(2.0 * math.pi)) - 0.5 * t
+    scale = 0.5 * t * (math.log(t) - _angles.LOG_2PI) - 0.5 * t
     phase_end = -c * scale
     if args.json:
         flags = {"t": t, "step": step}
@@ -261,6 +259,8 @@ def cmd_xray(args: argparse.Namespace) -> int:
         grid = xray_grid(re0, re1, im0, im1, n, n)
     except ValueError as exc:
         return _usage_error(str(exc))
+    except ConvergenceError as exc:
+        return _numerical_error(str(exc))
     with open(args.out, "w", newline="\n") as handle:
         handle.write("re,im,sgn_re_H,sgn_im_H\n")
         for re, im, sre, sim in grid.rows():

@@ -32,7 +32,6 @@ __all__ = [
     "l1",
 ]
 
-_LOG_2PI = 1.8378770664093454835606594728112352797
 _SQRT2_OVER_4PI2 = math.sqrt(2.0) / (4.0 * math.pi ** 2)
 
 
@@ -73,7 +72,7 @@ class AsymptoticSeries:
 
 #: log rho(x) = -7/4 log 2pi + 15/4 log x + 19/x^2 - 433/(2x^4) + ...
 LOG_RHO_SERIES = AsymptoticSeries(
-    constant=-1.75 * _LOG_2PI,
+    constant=-1.75 * _angles.LOG_2PI,
     log_coef=3.75,
     powers=(2, 4, 6, 8),
     coefs=(19.0, -433.0 / 2.0, 13069.0 / 3.0, -439633.0 / 4.0),
@@ -105,7 +104,7 @@ def _log_l(x):
     ix = 1j * x
     val = (np.log(6.0 + ix) + np.log(4.0 + ix) + 2.0 * np.log(3.0 + ix)
            + np.log(2.0 + ix) + 2.0 * np.log(1.0 + ix)
-           - ix * _LOG_2PI
+           - ix * _angles.LOG_2PI
            + (0.5 * math.pi * ax + np.log1p(np.exp(-math.pi * ax)) - math.log(2.0))
            + ln_gamma(1.0 + ix))
     return val
@@ -150,7 +149,7 @@ def alpha_asymptotic(x, order: int = 3):
     if np.any(x < 10.0):
         raise ValueError("alpha_asymptotic requires x >= 10")
     s = ALPHA_SERIES
-    out = (0.5 * x * (np.log(x) - _LOG_2PI) - 0.5 * x + s.constant
+    out = (0.5 * x * (np.log(x) - _angles.LOG_2PI) - 0.5 * x + s.constant
            + s.tail(x, order))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -173,7 +172,7 @@ def theta_mod_2pi(t):
     if np.any(t_arr < 10.0):
         raise ValueError("theta_mod_2pi requires t >= 10")
     tl = _angles.as_ld(t)
-    val = (tl / 2 * (_angles.log_ld(t) - _angles.LOG_2PI) - tl / 2
+    val = (tl / 2 * (_angles.log_ld(t) - _angles.LOG_2PI_LD) - tl / 2
            + 15 * _angles.PI / 8 - 241 / (24 * tl))
     out = _angles.reduce_mod_2pi(val)
     return float(out) if np.ndim(out) == 0 else out

@@ -43,24 +43,20 @@ __all__ = [
     "f_staged",
 ]
 
-_LOG_2PI = 1.8378770664093454835606594728112352797
 _MAX_WINDOW = 1.0e5
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Trapezoid spacing, tail target and optional fixed half-window."""
+    """Trapezoid spacing and tail target."""
     step: float = 0.125
     tail_eps: float = 1e-10
-    window_override: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.step <= 0.25:
             raise ValueError("step must be in (0, 0.25]")
         if not 0.0 < self.tail_eps <= 1e-3:
             raise ValueError("tail_eps must be in (0, 1e-3]")
-        if self.window_override is not None and self.window_override <= 0:
-            raise ValueError("window_override must be positive")
 
 
 _DEFAULT_CFG = QuadratureConfig()
@@ -147,12 +143,9 @@ def strip_solve(p: StripProblem, sigma: float, t: float,
     scale = np.exp(-p.growth * np.abs(probe))
     amp = max(float(np.max(np.abs(p.boundary_a(probe)) * scale)),
               float(np.max(np.abs(p.boundary_b(probe)) * scale)), 1e-300)
-    if cfg.window_override is not None:
-        half = cfg.window_override
-    else:
-        half = (math.log(4.0 * amp * (1.0 + math.exp(p.growth * abs(t))))
-                + math.log(1.0 / (kappa * w * cfg.tail_eps))) / kappa
-        half = max(half, 2.0 * w)
+    half = (math.log(4.0 * amp * (1.0 + math.exp(p.growth * abs(t))))
+            + math.log(1.0 / (kappa * w * cfg.tail_eps))) / kappa
+    half = max(half, 2.0 * w)
     if half > _MAX_WINDOW:
         raise ConvergenceError(f"strip window {half:.3g} exceeds {_MAX_WINDOW:g}")
     n = int(math.ceil(half / cfg.step))
@@ -184,7 +177,7 @@ def _log_phi(s: np.ndarray) -> np.ndarray:
     sig = s.real
     zeta = zeta_right(s) if np.all(sig >= 2.0) else zeta_em(s)
     return (math.log(2.0) + np.log(s + 2.0) + np.log(s) + np.log(1.0 - s)
-            + np.log(3.0 - s) - s * _LOG_2PI + logcos + ln_gamma(s)
+            + np.log(3.0 - s) - s * _angles.LOG_2PI + logcos + ln_gamma(s)
             + 2.0 * np.log(zeta))
 
 
@@ -218,11 +211,8 @@ def _f_general_sorted(xs: np.ndarray, sigma: float) -> np.ndarray:
     if abs(sigma - 1.0) < 1e-9:
         # (1-s) zeta(s)^2 cos(pi s/2) is 0*inf at s=1; anchor with the limit
         anchor = -math.sqrt(3.0)
-        vals = np.empty(path.size, dtype=complex)
-        vals[0] = 1.0  # placeholder, overwritten below
         inner = np.exp(0.5 * _log_phi(sigma + 1j * path[1:]))
         tracked = _track_sqrt(np.concatenate(([anchor + 0j], inner)), anchor)
-        vals = tracked
     else:
         p_vals = np.exp(0.5 * _log_phi(sigma + 1j * path))
         anchor_mag = math.exp(0.5 * float(_log_phi(np.array([sigma + 0j]))[0].real))
@@ -288,10 +278,7 @@ def f_integral(t: float, sigma: float = 4.0,
     cfg = cfg or _DEFAULT_CFG
     if t < 0.0:
         return complex(np.conj(f_integral(-t, sigma, cfg)))
-    if cfg.window_override is not None:
-        half = cfg.window_override
-    else:
-        half = _f_window(t, sigma, cfg)
+    half = _f_window(t, sigma, cfg)
     h = cfg.step
     n = int(math.ceil(half / h))
     xs = t + h * np.arange(-n, n + 1)
@@ -397,9 +384,8 @@ def f_staged(t: float, stage: int, cfg: QuadratureConfig | None = None) -> compl
 
     half = half1 if stage == 3 else max(_stage4_half(t, cfg), half1)
     us = _window_nodes(0.0, -half, half, h)
-    beta = 0.5 * (_angles.log_ld(t) - _angles.LOG_2PI)
-    osc_ph = _angles.reduce_mod_2pi(beta * _angles.as_ld(us))
-    y = (l1(us, t) * (np.cos(osc_ph) + 1j * np.sin(osc_ph))
+    beta = 0.5 * (_angles.log_ld(t) - _angles.LOG_2PI_LD)
+    y = (l1(us, t) * _angles.cis_from_ld(beta * _angles.as_ld(us))
          * zeta_right(4.0 + 1j * (t + us)) * kernel(us))
     integral = _trapz_fsum(y, us)
     th_t = theta_mod_2pi(t)

@@ -19,10 +19,10 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _angles
-from .errors import PhaseTrackError
+from .errors import ConvergenceError, PhaseTrackError
 from .quad import QuadratureConfig, f_integral_grid
 from .series import SeriesTolerance, h_series_grid
-from .special import _em_tail, _pow2_bucket, z_oracle
+from .special import z_oracle
 
 __all__ = [
     "PhaseTrack",
@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
-_LOG_2PI = math.log(2.0 * math.pi)
+# element budget of one x-ray block (rows x terms)
+_XRAY_ELEMS = 1 << 22
 # refine before a step gets anywhere near the pi/2 rejection threshold
 _REFINE_TRIGGER = 0.4 * math.pi
 _MAX_REFINE_ROUNDS = 6
@@ -187,6 +188,13 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
+def _lattice(a: float, b: float, step: float) -> np.ndarray:
+    """a, a + step, ... below b, then b itself: strictly increasing even
+    when the last arange point rounds to b or above."""
+    grid = np.arange(a, b, step)
+    return np.append(grid[grid < b], b)
+
+
 def count_zeros(evaluator: Callable[[float], float], a: float, b: float,
                 step: float = 0.05, refine_width: float = 1e-9) -> ZeroScanReport:
     """Locate sign changes of a real-valued function on [a, b].
@@ -206,7 +214,7 @@ def count_zeros(evaluator: Callable[[float], float], a: float, b: float,
         raise ValueError("step must lie in (0, 0.25]")
     if refine_width <= 0.0:
         raise ValueError("refine_width must be positive")
-    grid = np.append(np.arange(a, b, step), b)
+    grid = _lattice(a, b, step)
     vals = np.array([float(evaluator(float(t))) for t in grid])
     zeros: list = []
     for i in range(grid.size - 1):
@@ -240,7 +248,7 @@ def phase_count_check(a: float, b: float, step: float = 0.05,
     if not (a >= 10.0 and a < b):
         raise ValueError("need 10 <= a < b")
     report = count_zeros(z_oracle, a, b, step)
-    grid = np.append(np.arange(a, b, step), b)
+    grid = _lattice(a, b, step)
     vals = f_integral_grid(grid, 4.0, quad)
     track = _track_values(grid, vals, source="F")
     delta = track.delta
@@ -280,7 +288,7 @@ def _arg_h_track(t_end: float, step: float,
     """Track arg H from t = 1 up to t_end, refining locally (at most
     _MAX_REFINE_ROUNDS rounds of midpoint insertion) where the sampled
     phase moves too fast."""
-    grid = np.append(np.arange(1.0, t_end, step), t_end)
+    grid = _lattice(1.0, t_end, step)
     if anchors is not None:
         grid = np.unique(np.concatenate([grid, anchors]))
     vals = h_series_grid(grid, tol)
@@ -311,7 +319,7 @@ def _arg_h_track(t_end: float, step: float,
 
 
 def _phase_scale(t: np.ndarray) -> np.ndarray:
-    return 0.5 * t * (np.log(t) - _LOG_2PI) - 0.5 * t
+    return 0.5 * t * (np.log(t) - _angles.LOG_2PI) - 0.5 * t
 
 
 def c_statistic_profile(ts: Sequence[float], step: float = 0.05,
@@ -366,25 +374,26 @@ def _h_complex(z) -> np.ndarray:
     if np.any(z.imag <= -3.0) or np.any(z.imag > 4.0):
         raise ValueError("imaginary part must lie inside (-3, 4]")
     re_max = float(z.real.max())
-    n0 = _pow2_bucket(max(2048, int(0.4 * re_max) + 1), 2048)
+    n0 = _angles.pow2_bucket(max(2048, int(0.4 * re_max) + 1), 2048)
+    if n0 > _XRAY_ELEMS:
+        raise ConvergenceError(f"H at Re z = {re_max:g} needs {n0} terms, "
+                               f"above the block budget of {_XRAY_ELEMS}")
     n = np.arange(1, n0 + 1)
     log_n = _angles.log_ld(n)
     log_n_d = np.asarray(log_n, dtype=float)
     out = np.empty(z.shape, dtype=complex)
-    block = max(1, (1 << 22) // n0)
+    block = _XRAY_ELEMS // n0
+    # phases below 1e8 rad lose < 1e-8 rad in double: enough for signs
+    extended = re_max * math.log(n0) >= 1e8
     for start in range(0, z.size, block):
         zb = z[start:start + block]
-        w = 1.75 * (np.log(zb)[:, None] - _LOG_2PI - 2.0 * log_n_d[None, :])
+        w = 1.75 * (np.log(zb)[:, None] - _angles.LOG_2PI - 2.0 * log_n_d[None, :])
         amp = np.exp((zb.imag[:, None] - 4.0) * log_n_d[None, :])
-        if re_max * math.log(n0) < 1e8:
-            ph = np.outer(-zb.real, log_n_d)
-        else:
-            ph = _angles.reduce_mod_2pi(
-                -_angles.as_ld(zb.real)[:, None] * log_n[None, :])
-        terms = amp * (np.cos(ph) + 1j * np.sin(ph)) * _sech_c(w)
-        pref = 2.0 * np.exp(1.75 * (np.log(zb) - _LOG_2PI))
+        terms = amp * (_angles.n_pow_minus_it(zb.real, log_n) if extended
+                       else _angles.cis(np.outer(-zb.real, log_n_d))) * _sech_c(w)
+        pref = 2.0 * np.exp(1.75 * (np.log(zb) - _angles.LOG_2PI))
         out[start:start + zb.size] = (terms.sum(axis=1)
-                                      + pref * _em_tail(7.5 + 1j * zb, n0))
+                                      + pref * _angles.em_tail(7.5 + 1j * zb, n0))
     return out
 
 

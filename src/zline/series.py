@@ -26,7 +26,6 @@ import numpy as np
 from . import _angles
 from .errors import ConvergenceError
 from .phase import rho0, theta_mod_2pi
-from .special import _vartheta_ld
 
 __all__ = [
     "EulerianB",
@@ -41,9 +40,6 @@ __all__ = [
     "z_approx",
     "g_series",
 ]
-
-_LOG_2PI = 1.8378770664093454835606594728112352797
-
 
 @dataclass(frozen=True)
 class SeriesTolerance:
@@ -178,11 +174,11 @@ def h_r_series_info(t: float, r: int,
             f"H_{r}({t:g}) needs {n_terms} terms, above the cap {tol.n_cap}")
     n = np.arange(1, n_terms + 1, dtype=float)
     # cancellation-free form of y_n = (7/4) log(t/(2 pi n^2))
-    y = 1.75 * (math.log(t) - _LOG_2PI - 2.0 * np.log(n))
-    amp = n ** -4.0 * _m_r(y, r)
-    ph = _angles.reduce_mod_2pi(-_angles.as_ld(t) * _angles.log_ld(n))
-    value = (3.5j) ** r * complex(math.fsum((amp * np.cos(ph)).tolist()),
-                                  math.fsum((amp * np.sin(ph)).tolist()))
+    y = 1.75 * (math.log(t) - _angles.LOG_2PI - 2.0 * np.log(n))
+    terms = n ** -4.0 * _m_r(y, r) * _angles.n_pow_minus_it(t, _angles.log_ld(n))
+    # fsum straight from a memoryview: no list of N Python floats
+    value = (3.5j) ** r * complex(math.fsum(memoryview(terms.real)),
+                                  math.fsum(memoryview(terms.imag)))
     return value, n_terms, _tail_bound(t, r, n_terms)
 
 
@@ -236,11 +232,9 @@ def h_series_grid(ts, tol: SeriesTolerance | None = None) -> np.ndarray:
     out = np.empty(ts.size, dtype=complex)
     for start in range(0, ts.size, 1024):
         tt = ts[start:start + 1024]
-        y = 1.75 * (np.log(tt)[:, None] - _LOG_2PI - 2.0 * log_n[None, :])
+        y = 1.75 * (np.log(tt)[:, None] - _angles.LOG_2PI - 2.0 * log_n[None, :])
         amp = inv_n4[None, :] * _m_r(y, 0)
-        ph = _angles.reduce_mod_2pi(
-            -_angles.as_ld(tt)[:, None] * log_n_ld[None, :])
-        rows = amp * (np.cos(ph) + 1j * np.sin(ph))
+        rows = amp * _angles.n_pow_minus_it(tt, log_n_ld)
         out[start:start + 1024] = rows.sum(axis=1)
     return out
 
@@ -258,7 +252,7 @@ def z_approx(t: float, tol: SeriesTolerance | None = None,
     if phase == "theta":
         ph = theta_mod_2pi(t)
     elif phase == "vartheta":
-        ph = float(_angles.reduce_mod_2pi(_vartheta_ld(t)))
+        ph = float(_angles.reduce_mod_2pi(_angles.vartheta_ld(t)))
     else:
         raise ValueError("phase must be 'theta' or 'vartheta'")
     h = h_series(t, tol)

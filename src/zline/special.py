@@ -50,25 +50,7 @@ _STIRLING_COEF = (
 )
 _STIRLING_SHIFT = 15.0  # |z| below this is shifted up by the recurrence
 
-# B_{2k}/(2k)! for k = 1..4, the Euler-Maclaurin correction depth (B8).
-_EM_COEF = (
-    1.0 / 12.0,          # B2/2!
-    -1.0 / 720.0,        # B4/4!
-    1.0 / 30240.0,       # B6/6!
-    -1.0 / 1209600.0,    # B8/8!
-)
 _EM_CAP = 1.0e5  # validated |Im s| ceiling for zeta_em
-
-
-def _pow2_bucket(n: int, floor: int) -> int:
-    """Round a term count up to a power-of-two bucket.
-
-    Evaluating the same abscissa inside two differently sized vector calls
-    must give bit-identical zeta values; quantizing N makes the term count a
-    function of the bucket, not of the exact grid extent.
-    """
-    n = max(int(n), floor)
-    return 1 << (n - 1).bit_length()
 
 
 # ----------------------------------------------------------------------
@@ -109,44 +91,14 @@ def ln_gamma(z):
 # zeta by Euler-Maclaurin
 
 
-def _em_tail(s, n_terms: int):
-    """Euler-Maclaurin estimate of sum_{n>N} n^-s:
-
-        N^(1-s)/(s-1) - N^-s/2
-          + sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^(1-s-2k)
-
-    Accepts any complex s with Re s > 1; accuracy needs |Im s| < 2 pi N
-    (the usual Euler-Maclaurin growth condition).
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    big_n = float(n_terms)
-    ph_n = _angles.reduce_mod_2pi(-_angles.as_ld(s.imag) * _angles.log_ld(big_n))
-    n_pow_ms = big_n ** (-s.real) * (np.cos(ph_n) + 1j * np.sin(ph_n))
-    bracket = big_n / (s - 1.0) - 0.5
-    poch = np.ones_like(s)
-    for k, c in enumerate(_EM_COEF, start=1):
-        # s(s+1)...(s+2k-2), built incrementally
-        if k == 1:
-            poch = s.copy()
-        else:
-            poch = poch * (s + (2 * k - 3)) * (s + (2 * k - 2))
-        bracket = bracket + c * poch * big_n ** (1 - 2 * k)
-    return n_pow_ms * bracket
-
-
 def _zeta_em_core(s, n_terms: int):
     """Euler-Maclaurin zeta for an array of s with common term count:
-    the direct sum over n <= N plus the _em_tail correction."""
+    the direct sum over n <= N plus the Euler-Maclaurin tail."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
-    sig = s.real[:, None]
-    t = s.imag
     n = np.arange(1, n_terms + 1)
-    log_n = _angles.log_ld(n)
-    amp = n[None, :] ** (-sig)
-    # phase of n^-s reduced in extended precision
-    ph = _angles.reduce_mod_2pi(-_angles.as_ld(t)[:, None] * log_n[None, :])
-    direct = np.sum(amp * (np.cos(ph) + 1j * np.sin(ph)), axis=1)
-    return direct + _em_tail(s, n_terms)
+    amp = n[None, :] ** (-s.real[:, None])
+    direct = np.sum(amp * _angles.n_pow_minus_it(s.imag, _angles.log_ld(n)), axis=1)
+    return direct + _angles.em_tail(s, n_terms)
 
 
 def _restore_shape(values, arg):
@@ -165,15 +117,15 @@ def zeta_right(s):
     # floor 1024: with the B8-depth corrections the remainder behaves like
     # (im/N)^9 / N^2, and a 256-term floor leaves ~1e-12 residue near
     # im = 300; the higher floor is only felt by small-im calls
-    n_terms = _pow2_bucket(math.ceil(0.75 * t_max), 1024)
+    n_terms = _angles.pow2_bucket(math.ceil(0.75 * t_max), 1024)
     return _restore_shape(_zeta_em_core(ss.ravel(), n_terms), s)
 
 
-def zeta_em(s, *, min_terms: int = 64, terms_per_im: float = 2.0):
+def zeta_em(s):
     """zeta(s) for Re s > 0, s != 1, |Im s| <= 1e5, by Euler-Maclaurin with
-    N ~ max(min_terms, terms_per_im*|Im s|) initial terms and Bernoulli
-    corrections through B8.  Absolute accuracy <= 1e-10 over that range
-    (much better for moderate |Im s|).  Accepts scalars or arrays."""
+    N ~ max(64, 2|Im s|) initial terms and Bernoulli corrections through B8.
+    Absolute accuracy <= 1e-10 over that range (much better for moderate
+    |Im s|).  Accepts scalars or arrays."""
     ss = np.asarray(s, dtype=complex)
     if np.any(ss.real <= 0.0):
         raise ValueError("zeta_em requires Re s > 0")
@@ -182,7 +134,7 @@ def zeta_em(s, *, min_terms: int = 64, terms_per_im: float = 2.0):
     t_max = float(np.max(np.abs(ss.imag))) if ss.size else 0.0
     if t_max > _EM_CAP:
         raise ValueError(f"zeta_em: |Im s| = {t_max:g} exceeds cap {_EM_CAP:g}")
-    n_terms = _pow2_bucket(math.ceil(terms_per_im * t_max), min_terms)
+    n_terms = _angles.pow2_bucket(math.ceil(2.0 * t_max), 64)
     return _restore_shape(_zeta_em_core(ss.ravel(), n_terms), s)
 
 
@@ -202,13 +154,6 @@ def rs_theta(t: float) -> float:
         raise ValueError("rs_theta requires t >= 10; the expansion degrades below")
     return (t / 2.0 * math.log(t / (2.0 * math.pi)) - t / 2.0 - math.pi / 8.0
             + 1.0 / (48.0 * t) + 7.0 / (5760.0 * t ** 3))
-
-
-def _vartheta_ld(t):
-    """rs_theta evaluated in longdouble (same truncation, tiny rounding)."""
-    tl = _angles.as_ld(t)
-    return (tl / 2 * (np.log(tl) - _angles.LOG_2PI) - tl / 2 - _angles.PI / 8
-            + 1 / (48 * tl) + 7 / (5760 * tl ** 3))
 
 
 def _vartheta_small(t: float) -> float:
@@ -286,28 +231,22 @@ class ZOracleConfig:
 
     em_switch: largest t evaluated by the Euler-Maclaurin route (the
     Riemann-Siegel formula with C0..C2 corrections takes over above).
-    em_min_terms/em_terms_per_im: the adaptive term rule handed to zeta_em.
     """
     em_switch: float = 500.0
     rs_correction_order: int = 2
-    em_min_terms: int = 64
-    em_terms_per_im: float = 2.0
 
     def __post_init__(self):
         if self.em_switch < 10.0:
             raise ValueError("em_switch must be >= 10")
         if self.rs_correction_order not in (0, 1, 2):
             raise ValueError("rs_correction_order must be 0, 1 or 2")
-        if self.em_min_terms < 16 or self.em_terms_per_im <= 0:
-            raise ValueError("bad Euler-Maclaurin term rule")
 
 
 _DEFAULT_CFG = ZOracleConfig()
 
 
-def _z_em(t: float, cfg: ZOracleConfig):
-    zeta = zeta_em(complex(0.5, t), min_terms=cfg.em_min_terms,
-                   terms_per_im=cfg.em_terms_per_im)
+def _z_em(t: float):
+    zeta = zeta_em(complex(0.5, t))
     if t >= 10.0:
         th = rs_theta(t)
         trunc = 31.0 / (80640.0 * t ** 5)
@@ -325,7 +264,7 @@ def _z_rs(t: float, order: int):
     p = a - big_n
     n = np.arange(1, big_n + 1)
     ph = _angles.reduce_mod_2pi(
-        _vartheta_ld(t) - _angles.as_ld(t) * _angles.log_ld(n))
+        _angles.vartheta_ld(t) - _angles.as_ld(t) * _angles.log_ld(n))
     main = 2.0 * float(np.sum(np.cos(ph) / np.sqrt(n)))
     c0, c1, c2 = _rs_corrections(p)
     corr = (c0, c1, c2)[: order + 1]
@@ -345,7 +284,7 @@ def z_oracle_info(t: float, cfg: ZOracleConfig | None = None):
     cfg = cfg or _DEFAULT_CFG
     t = abs(float(t))  # Z is even by construction
     if t <= cfg.em_switch:
-        return _z_em(t, cfg)
+        return _z_em(t)
     return _z_rs(t, cfg.rs_correction_order)
 
 

@@ -67,6 +67,8 @@ def test_eval_usage_errors(capsys):
     for argv in (("eval", "--t", "-1", "--method", "oracle"),
                  ("eval", "--t", "5", "--method", "approx"),
                  ("eval", "--t", "100", "--method", "oracle", "--sigma", "9"),
+                 ("eval", "--t", "100", "--method", "oracle", "--sigma", "6"),
+                 ("eval", "--t", "100", "--method", "oracle", "--sigma", "3"),
                  ("eval", "--t", "100", "--method", "oracle", "--eps", "0.5")):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
@@ -213,6 +215,16 @@ def test_xray_usage_error(capsys):
                        "--im0", "0", "--im1", "4.5", "--out", "/dev/null")
     assert code == EXIT_USAGE
     assert err
+
+
+def test_xray_over_budget_is_numerical_failure(tmp_path, capsys):
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, "xray", "--re0", "2e8", "--re1", "2.00001e8",
+                         "--im0", "-1", "--im1", "1", "--n", "4",
+                         "--out", str(out_path))
+    assert code == EXIT_NUMERICAL
+    assert "134217728" in err
+    assert out == "" and not out_path.exists()
 
 
 # ------------------------------------------------------------ determinism

@@ -2,11 +2,13 @@
 perturbation argument, the normalized phase statistic, and the sign-grid
 export."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zline import (
+    ConvergenceError,
     PhaseTrack,
     PhaseTrackError,
     ZeroScanReport,
@@ -124,10 +126,12 @@ def test_count_agreement_with_series_route():
 # ------------------------------------------------------ winding cross-check
 
 def test_phase_count_small_interval():
-    report = phase_count_check(10.0, 30.0)
-    assert report.count == 3
-    assert abs(report.delta_phi) / math.pi < 4.0
-    assert report.verdict is True
+    # from 10.001 the last arange point below 20.001 rounds to 20.001 or above
+    for a, b, count in ((10.0, 30.0, 3), (10.001, 20.001, 1)):
+        report = phase_count_check(a, b)
+        assert report.count == count
+        assert abs(report.delta_phi) / math.pi < count + 1
+        assert report.verdict is True
 
 
 def test_phase_count_zero_free_interval():
@@ -273,6 +277,19 @@ def test_xray_rows_deterministic():
     assert len(rows) == 9
     assert rows[0][0] == 10000.0 and rows[0][1] == -1.0
     assert rows[-1][0] == 10001.0 and rows[-1][1] == 1.0
+
+
+def test_xray_refuses_rows_over_budget():
+    # Re z = 2e8 needs 2^27 terms, a single row 32 times the block budget;
+    # the refusal must come before the term arrays are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="134217728 terms"):
+            xray_grid(2e8, 2.00001e8, -1.0, 1.0, 4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_xray_guards():
