@@ -7,9 +7,11 @@ reduction mod 2pi in double precision would cost ~1e-7 rad, visible in Z.
 So n_pow_minus_it forms and reduces the phase in numpy.longdouble (80-bit
 extended on x86-64) and converts only the reduced phase back to double;
 where longdouble is plain double the phase error is correspondingly larger.
-The callers keep their own amplitudes, term rules and summation; this
-module also holds what their sums share: log 2pi, the longdouble theta, the
-power-of-two term bucket and the Euler-Maclaurin tail.
+lattice_sums evaluates such a sum on a uniform lattice of t with one
+exact phase per block of nodes.  The callers keep their own amplitudes,
+term rules and summation; this module also holds what their sums share:
+log 2pi, the longdouble theta, the power-of-two term bucket and the
+Euler-Maclaurin tail.
 """
 from __future__ import annotations
 
@@ -21,6 +23,16 @@ PI = np.longdouble("3.141592653589793238462643383279502884197")
 LOG_2PI_LD = np.longdouble("1.837877066409345483560659472811235279723")
 #: log(2*pi) correctly rounded to float64
 LOG_2PI = 1.8378770664093454835606594728112352797
+
+# nodes per lattice block: one exact anchor phase per block
+_LATTICE_BLOCK = 64
+# a row further than this from its lattice node goes the direct route; the
+# first-order correction then leaves below 1e-16 relative per term
+_LATTICE_SLACK = 1e-9
+# a block with fewer rows on it costs more as an anchor than row by row
+_LATTICE_MIN_ROWS = 16
+#: element budget (rows x terms) of one block of phase rows
+ROW_ELEMS = 1 << 20
 
 # B_{2k}/(2k)! for k = 1..4, the Euler-Maclaurin correction depth (B8).
 _EM_COEF = (
@@ -74,6 +86,69 @@ def n_pow_minus_it(t, log_n) -> np.ndarray:
     return cis(reduce_mod_2pi(np.multiply.outer(-as_ld(t), log_n)))
 
 
+def lattice_sums(x, amp, log_n):
+    """sum_n amp_n n^{-ix} for the samples of x that sit on a uniform
+    lattice (Odlyzko-Schoenhage in its simplest form): (on, sums), where on
+    marks the rows computed and sums holds them; the other rows are left to
+    the caller's direct route.
+
+    Calls of fewer than 2B samples (B = 64) compute nothing.  The step h
+    is read off the samples (their median spacing) and node k is
+    round(x/h).  Blocks of B nodes start where k is divisible by B, so a
+    node inside a full block lands at the same block position in every
+    call.  Each block's anchor phase n^{-ix_a} is formed exactly; the rows
+    inside it use n^{-ijh} from one step matrix built once per call, and
+    the residual e = x - x_a - jh of a rounded lattice enters to first
+    order, n^{-ie} ~ 1 - ie log n, through a second product with the
+    anchor row weighted by log n.  Every anchor gets its own
+    (1 x N) @ (N x B) product: BLAS rounds a row by the shape of the whole
+    product, so a fixed shape keeps shared nodes bit-identical across
+    calls.  The products sum n from N down to 1, smallest terms first.
+    """
+    x = np.asarray(x, dtype=float)
+    on = np.zeros(x.shape, dtype=bool)
+    sums = np.zeros(x.shape, dtype=complex)
+    if x.size < 2 * _LATTICE_BLOCK:
+        return on, sums
+    h = float(np.median(np.diff(x)))
+    if not (h > 0.0 and np.all(np.abs(x) < h * 2.0 ** 52)):
+        return on, sums
+    k = np.round(x / h).astype(np.int64)
+    block = k // _LATTICE_BLOCK
+    j = k - block * _LATTICE_BLOCK
+    order = np.argsort(block, kind="stable")
+    starts = np.flatnonzero(np.diff(block[order], prepend=block[order[0]] - 1))
+    groups = np.split(order, starts[1:])
+    rows, anchors, eps = [], [], []
+    for g in groups:
+        first = g[np.argmin(j[g])]
+        x_a = x[first] - j[first] * h
+        e = (x[g] - x_a) - j[g] * h
+        ok = np.abs(e) <= _LATTICE_SLACK
+        if np.count_nonzero(ok) >= _LATTICE_MIN_ROWS:
+            rows.append(g[ok])
+            anchors.append(x_a)
+            eps.append(e[ok])
+    if not rows:
+        return on, sums
+    amp_d = amp[::-1]
+    log_d = log_n[::-1]
+    log_d_f = np.asarray(log_d, dtype=float)
+    steps = n_pow_minus_it(h * np.arange(_LATTICE_BLOCK), log_d).T
+    chunk = max(1, ROW_ELEMS // log_d.size)
+    for start in range(0, len(anchors), chunk):
+        anchor_rows = amp_d * n_pow_minus_it(
+            np.array(anchors[start:start + chunk]), log_d)
+        for a, row in enumerate(anchor_rows, start=start):
+            r, e = rows[a], eps[a]
+            s = (row @ steps)[j[r]]
+            if np.any(e != 0.0):
+                s = s - 1j * e * ((row * log_d_f) @ steps)[j[r]]
+            sums[r] = s
+            on[r] = True
+    return on, sums
+
+
 def vartheta_ld(t):
     """special.rs_theta evaluated in longdouble (same truncation, tiny
     rounding), for reduction mod 2pi at t ~ 1e8."""
@@ -87,7 +162,9 @@ def pow2_bucket(n: int, floor: int) -> int:
 
     Evaluating the same abscissa inside two differently sized vector calls
     must give bit-identical sums; quantizing N makes the term count a
-    function of the bucket, not of the exact grid extent.
+    function of the bucket, not of the exact grid extent.  On the lattice
+    route the invariant holds for nodes inside full blocks (see
+    lattice_sums); a window's partial end blocks may round differently.
     """
     n = max(int(n), floor)
     return 1 << (n - 1).bit_length()

@@ -79,7 +79,9 @@ def _eval_record(t: float, method: str, sigma: float, eps: float) -> OutputRecor
         f = f_integral(t, sigma, cfg)
         den = _denominator(t)
         value = f.real / den
-        est = (2.0 * eps + 5e-15 * rho0(t)) / den + 1e-14
+        # the roundoff term scales with rho0, which is 0 at t = 0
+        roundoff = 5e-15 * rho0(t) if t > 0.0 else 0.0
+        est = (2.0 * eps + roundoff) / den + 1e-14
     elif method == "approx":
         value = z_approx(t, _series_tol(t, eps))
         est = eps + 1e-12 * (1.0 + abs(value))

@@ -40,6 +40,8 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 # element budget of one x-ray block (rows x terms)
 _XRAY_ELEMS = 1 << 22
+# term evaluations (points x terms) one x-ray may cost: minutes of work
+_XRAY_WORK = 1 << 31
 # refine before a step gets anywhere near the pi/2 rejection threshold
 _REFINE_TRIGGER = 0.4 * math.pi
 _MAX_REFINE_ROUNDS = 6
@@ -239,18 +241,18 @@ def phase_count_check(a: float, b: float, step: float = 0.05,
     """Cross-check counted zeros against the winding of the integral.
 
     Scans the oracle for sign changes on [a, b], tracks the argument of
-    the analytic integral evaluator on the same grid, and records the
-    verdict of |delta_phi| / pi < count + 1.  A grid too coarse for the
-    phase track raises PhaseTrackError.
+    the analytic integral evaluator on the same grid, refined locally where
+    its phase moves fast, and records the verdict of
+    |delta_phi| / pi < count + 1.  A phase the refinement rounds cannot
+    resolve raises PhaseTrackError.
     """
     a = float(a)
     b = float(b)
     if not (a >= 10.0 and a < b):
         raise ValueError("need 10 <= a < b")
     report = count_zeros(z_oracle, a, b, step)
-    grid = _lattice(a, b, step)
-    vals = f_integral_grid(grid, 4.0, quad)
-    track = _track_values(grid, vals, source="F")
+    track = _refined_track(_lattice(a, b, step),
+                           lambda ts: f_integral_grid(ts, 4.0, quad), "F")
     delta = track.delta
     verdict = bool(abs(delta) / math.pi < report.count + 1)
     return ZeroScanReport((a, b), report.zeros, report.count, delta, verdict)
@@ -282,16 +284,12 @@ def perturbation_phase_check(f_track: PhaseTrack, g_track: PhaseTrack,
     return pinned and abs(float(d[-1] - d[0])) < 2.0 * math.pi
 
 
-def _arg_h_track(t_end: float, step: float,
-                 tol: Optional[SeriesTolerance],
-                 anchors: Optional[np.ndarray] = None) -> PhaseTrack:
-    """Track arg H from t = 1 up to t_end, refining locally (at most
-    _MAX_REFINE_ROUNDS rounds of midpoint insertion) where the sampled
-    phase moves too fast."""
-    grid = _lattice(1.0, t_end, step)
-    if anchors is not None:
-        grid = np.unique(np.concatenate([grid, anchors]))
-    vals = h_series_grid(grid, tol)
+def _refined_track(grid: np.ndarray, evaluate: Callable[[np.ndarray], np.ndarray],
+                   source: str) -> PhaseTrack:
+    """Sample evaluate on grid and track its argument, refining locally (at
+    most _MAX_REFINE_ROUNDS rounds of _REFINE_SPLIT-way splits) where the
+    sampled phase moves too fast."""
+    vals = evaluate(grid)
     for _ in range(_MAX_REFINE_ROUNDS):
         steps = np.angle(vals[1:] / vals[:-1])
         bad = np.abs(steps) >= _REFINE_TRIGGER
@@ -301,7 +299,7 @@ def _arg_h_track(t_end: float, step: float,
         hi = grid[1:][bad]
         frac = np.arange(1, _REFINE_SPLIT) / _REFINE_SPLIT
         news = (lo[:, None] + (hi - lo)[:, None] * frac[None, :]).ravel()
-        nvals = h_series_grid(news, tol)
+        nvals = evaluate(news)
         grid = np.concatenate([grid, news])
         vals = np.concatenate([vals, nvals])
         order = np.argsort(grid, kind="stable")
@@ -312,10 +310,20 @@ def _arg_h_track(t_end: float, step: float,
     if np.any(bad):
         i = int(np.argmax(bad))
         raise PhaseTrackError(
-            f"arg H under-resolved near t={grid[i]:g} after "
+            f"arg {source} under-resolved near t={grid[i]:g} after "
             f"{_MAX_REFINE_ROUNDS} refinement rounds"
         )
-    return _track_values(grid, vals, source="H")
+    return _track_values(grid, vals, source=source)
+
+
+def _arg_h_track(t_end: float, step: float,
+                 tol: Optional[SeriesTolerance],
+                 anchors: Optional[np.ndarray] = None) -> PhaseTrack:
+    """Track arg H from t = 1 up to t_end, refined locally."""
+    grid = _lattice(1.0, t_end, step)
+    if anchors is not None:
+        grid = np.unique(np.concatenate([grid, anchors]))
+    return _refined_track(grid, lambda ts: h_series_grid(ts, tol), "H")
 
 
 def _phase_scale(t: np.ndarray) -> np.ndarray:
@@ -378,6 +386,10 @@ def _h_complex(z) -> np.ndarray:
     if n0 > _XRAY_ELEMS:
         raise ConvergenceError(f"H at Re z = {re_max:g} needs {n0} terms, "
                                f"above the block budget of {_XRAY_ELEMS}")
+    if z.size * n0 > _XRAY_WORK:
+        raise ConvergenceError(f"{z.size} points x {n0} terms = {z.size * n0:.3g} "
+                               f"term evaluations, above the work budget of "
+                               f"{_XRAY_WORK:.3g}")
     n = np.arange(1, n0 + 1)
     log_n = _angles.log_ld(n)
     log_n_d = np.asarray(log_n, dtype=float)

@@ -18,7 +18,7 @@ polynomial of the staged integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -272,8 +272,17 @@ def g_series(t: float, tol: SeriesTolerance | None = None) -> complex:
     """
     if t < 20.0:
         raise ValueError("g_series requires t >= 20")
-    h = [h_r_series(t, r, tol) for r in range(5)]
+    tol = tol or _DEFAULT_TOL
     t2 = t * t
+    # sum of |coefficients| of H_1..H_4 in the bracket: H_0 gets eps/2 and
+    # each H_r eps/(8 w_r), so the bracket's tail error stays below eps
+    weights = (15.0 / (4.0 * t) + 241.0 / (24.0 * t2),
+               1.0 / (4.0 * t) + 165.0 / (32.0 * t2),
+               41.0 / (48.0 * t2),
+               1.0 / (32.0 * t2))
+    tols = [replace(tol, eps=0.5 * tol.eps)] + [
+        replace(tol, eps=min(1e-3, tol.eps / (8.0 * w))) for w in weights]
+    h = [h_r_series(t, r, tol_r) for r, tol_r in enumerate(tols)]
     bracket = (h[0]
                + 15.0 * h[1] / (4.0 * t) + 1j * h[2] / (4.0 * t)
                + 165.0 * h[2] / (32.0 * t2) + 241j * h[1] / (24.0 * t2)

@@ -93,12 +93,27 @@ def ln_gamma(z):
 
 def _zeta_em_core(s, n_terms: int):
     """Euler-Maclaurin zeta for an array of s with common term count:
-    the direct sum over n <= N plus the Euler-Maclaurin tail."""
+    the sum over n <= N plus the Euler-Maclaurin tail.
+
+    With one Re s for the whole call, the rows on a uniform lattice in
+    Im s take the lattice route of _angles.lattice_sums; every other row
+    sums its N terms directly, in row blocks under a fixed element budget.
+    """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     n = np.arange(1, n_terms + 1)
-    amp = n[None, :] ** (-s.real[:, None])
-    direct = np.sum(amp * _angles.n_pow_minus_it(s.imag, _angles.log_ld(n)), axis=1)
-    return direct + _angles.em_tail(s, n_terms)
+    log_n = _angles.log_ld(n)
+    out = np.empty(s.shape, dtype=complex)
+    rest = np.arange(s.size)
+    if s.size and np.all(s.real == s.real[0]):
+        on, sums = _angles.lattice_sums(s.imag, n ** -s.real[0], log_n)
+        out[on] = sums[on]
+        rest = rest[~on]
+    block = max(1, _angles.ROW_ELEMS // n_terms)
+    for start in range(0, rest.size, block):
+        r = rest[start:start + block]
+        amp = n[None, :] ** (-s.real[r, None])
+        out[r] = np.sum(amp * _angles.n_pow_minus_it(s.imag[r], log_n), axis=1)
+    return out + _angles.em_tail(s, n_terms)
 
 
 def _restore_shape(values, arg):

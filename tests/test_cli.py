@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zline import cli
+from zline import cli, scan, z_oracle
 from zline.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, OutputRecord
 
 
@@ -39,6 +39,14 @@ def test_eval_oracle_at_zero(capsys):
     code, out, _ = run(capsys, "eval", "--t", "0", "--method", "oracle")
     assert code == EXIT_OK
     assert abs(get_value(out) - -1.4603545) <= 5e-8
+
+
+def test_eval_integral_at_zero(capsys):
+    code, out, _ = run(capsys, "eval", "--t", "0", "--method", "integral", "--json")
+    assert code == EXIT_OK
+    row = json.loads(out)["rows"][0]
+    assert abs(row["value"] - z_oracle(0.0)) <= row["est"]
+    assert abs(row["value"] - -1.4603545) <= 1e-7
 
 
 def test_eval_integral_matches_oracle(capsys):
@@ -168,11 +176,24 @@ def test_scan_usage_errors(capsys):
         assert err
 
 
-def test_scan_under_resolved_is_numerical_failure(capsys):
-    # the pinch near t = 111.87 defeats a 0.05 grid; a finer step recovers
+def test_scan_under_resolved_is_numerical_failure(capsys, monkeypatch):
+    # the pinch near t = 111.87 defeats a 0.05 grid once the local
+    # refinement is out of rounds (here: given none)
+    monkeypatch.setattr(scan, "_MAX_REFINE_ROUNDS", 0)
     code, _, err = run(capsys, "scan", "--from", "108", "--to", "114")
     assert code == EXIT_NUMERICAL
     assert err
+
+
+def test_scan_refines_fast_phase_locally(capsys):
+    # a default-step grid that misses the pinches near t = 111.87 and 404.2
+    # is refined locally; the counts agree with mpmath.nzeros
+    for lo, hi, count in (("108", "114", 2), ("400", "430", 19)):
+        code, out, _ = run(capsys, "scan", "--from", lo, "--to", hi, "--json")
+        assert code == EXIT_OK
+        report = json.loads(out)["report"]
+        assert report["count"] == count
+        assert report["verdict"] == "pass"
 
 
 # ------------------------------------------------------------------ hstat

@@ -2,6 +2,7 @@
 vertical lines, the exact integral representation of Z, and the staged
 approximations."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ def test_sigma_independence():
     for t in (20.0, 60.0):
         vals = [f_integral(t, sigma).real for sigma in (1.5, 2.5, 4.0)]
         assert max(vals) - min(vals) <= 1e-7
+
+
+def test_sigma_off_four_memory_is_bounded():
+    # the tracking path from 0 to t + window on the lattice route: the
+    # samples x terms matrix (12,000 x 8192 here) is never formed
+    f_integral(100.0, 1.5)
+    tracemalloc.start()
+    try:
+        f_integral(3000.0, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_f_integral_grid_matches_scalar():

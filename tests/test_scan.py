@@ -292,6 +292,20 @@ def test_xray_refuses_rows_over_budget():
     assert peak < 1 << 20
 
 
+def test_xray_refuses_work_over_budget():
+    # 529 points x 2^22 terms at Re z = 7e6 is above the 2^31 work budget
+    # (the default --n 400 there would run for about 36 h); the refusal
+    # comes before the term arrays are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="above the work budget"):
+            xray_grid(7e6, 7.00001e6, -1.0, 1.0, 23, 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_xray_guards():
     with pytest.raises(ValueError):
         xray_grid(10.0, 5.0, 0.0, 1.0, 4, 4)
