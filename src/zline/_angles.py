@@ -10,12 +10,14 @@ where longdouble is plain double the phase error is correspondingly larger.
 lattice_sums evaluates such a sum on a uniform lattice of t with one
 exact phase per block of nodes.  The callers keep their own amplitudes,
 term rules and summation; this module also holds what their sums share:
-log 2pi, the longdouble theta, the power-of-two term bucket and the
-Euler-Maclaurin tail.
+log 2pi, the longdouble theta, the power-of-two term bucket, the
+Euler-Maclaurin tail and the work budget of every points x terms sum.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 # more digits than longdouble can hold; strtold rounds once
 TWO_PI = np.longdouble("6.283185307179586476925286766559005768394")
@@ -31,8 +33,12 @@ _LATTICE_BLOCK = 64
 _LATTICE_SLACK = 1e-9
 # a block with fewer rows on it costs more as an anchor than row by row
 _LATTICE_MIN_ROWS = 16
+# largest B x terms step matrix (537 MB) the lattice route forms
+_LATTICE_MAX_ELEMS = 1 << 25
 #: element budget (rows x terms) of one block of phase rows
 ROW_ELEMS = 1 << 20
+#: term evaluations (points x terms) one sum may cost: minutes of work
+WORK_BUDGET = 1 << 31
 
 # B_{2k}/(2k)! for k = 1..4, the Euler-Maclaurin correction depth (B8).
 _EM_COEF = (
@@ -63,11 +69,27 @@ def reduce_mod_2pi(phi) -> np.ndarray:
     return np.asarray(r, dtype=np.float64)
 
 
-def cis(p) -> np.ndarray:
+def ld_ulp(x: float) -> float:
+    """Spacing of longdouble at |x| (2^-63 |x| within a factor 2 on x87)."""
+    return float(np.spacing(as_ld(abs(x))))
+
+
+def check_work(points: int, n_terms: int) -> None:
+    """Refuse (ConvergenceError, with the estimate) a sum of n_terms terms
+    at each of `points` points above WORK_BUDGET, before it allocates."""
+    work = points * n_terms
+    if work > WORK_BUDGET:
+        raise ConvergenceError(f"{points} points x {n_terms} terms = {work:.3g} "
+                               f"term evaluations, above the work budget of "
+                               f"{WORK_BUDGET:.3g}")
+
+
+def cis(p, out=None) -> np.ndarray:
     """exp(i*p) for float64 phase(s) p: cos and sin written straight into
-    the real and imaginary parts, with no complex temporaries."""
+    the real and imaginary parts of out (a new array by default)."""
     p = np.asarray(p, dtype=np.float64)
-    out = np.empty(p.shape, dtype=complex)
+    if out is None:
+        out = np.empty(p.shape, dtype=complex)
     np.cos(p, out=out.real)
     np.sin(p, out=out.imag)
     return out
@@ -92,7 +114,8 @@ def lattice_sums(x, amp, log_n):
     marks the rows computed and sums holds them; the other rows are left to
     the caller's direct route.
 
-    Calls of fewer than 2B samples (B = 64) compute nothing.  The step h
+    Calls of fewer than 2B samples (B = 64), or with a B x N step matrix
+    above 1 << 25 elements, compute nothing.  The step h
     is read off the samples (their median spacing) and node k is
     round(x/h).  Blocks of B nodes start where k is divisible by B, so a
     node inside a full block lands at the same block position in every
@@ -108,7 +131,8 @@ def lattice_sums(x, amp, log_n):
     x = np.asarray(x, dtype=float)
     on = np.zeros(x.shape, dtype=bool)
     sums = np.zeros(x.shape, dtype=complex)
-    if x.size < 2 * _LATTICE_BLOCK:
+    n_terms = log_n.size
+    if x.size < 2 * _LATTICE_BLOCK or _LATTICE_BLOCK * n_terms > _LATTICE_MAX_ELEMS:
         return on, sums
     h = float(np.median(np.diff(x)))
     if not (h > 0.0 and np.all(np.abs(x) < h * 2.0 ** 52)):
@@ -134,8 +158,19 @@ def lattice_sums(x, amp, log_n):
     amp_d = amp[::-1]
     log_d = log_n[::-1]
     log_d_f = np.asarray(log_d, dtype=float)
-    steps = n_pow_minus_it(h * np.arange(_LATTICE_BLOCK), log_d).T
-    chunk = max(1, ROW_ELEMS // log_d.size)
+    chunk = max(1, ROW_ELEMS // n_terms)
+    # the step matrix, (B x N) in row blocks under ROW_ELEMS; allocated
+    # after the first block's phases, each block's freed before the next,
+    # it takes no more page faults than a one-piece build
+    steps = None
+    for j0 in range(0, _LATTICE_BLOCK, chunk):
+        phases = reduce_mod_2pi(np.multiply.outer(
+            -as_ld(h * np.arange(j0, min(j0 + chunk, _LATTICE_BLOCK))), log_d))
+        if steps is None:
+            steps = np.empty((_LATTICE_BLOCK, n_terms), dtype=complex)
+        cis(phases, out=steps[j0:j0 + len(phases)])
+        del phases
+    steps = steps.T
     for start in range(0, len(anchors), chunk):
         anchor_rows = amp_d * n_pow_minus_it(
             np.array(anchors[start:start + chunk]), log_d)

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 from . import __version__, _angles
 from .errors import ConvergenceError, PhaseTrackError
-from .phase import rho0
+from .phase import rho0, theta, theta_mod_2pi
 from .quad import QuadratureConfig, f_integral
 from .scan import c_statistic_profile, phase_count_check, xray_grid
-from .series import SeriesTolerance, g_series, z_approx
+from .series import SeriesTolerance, g_series, h_series
 from .special import z_oracle_info
 
 __all__ = ["OutputRecord", "main"]
@@ -36,6 +36,7 @@ _TABLE_TS = tuple(float(10 ** k) for k in range(1, 9))
 # internal series target for the table, in Z units; far below the 1e-5
 # reporting gate and the 5e-6 print precision
 _TABLE_EPS_Z = 1e-7
+_EPS_MAX = 1e-3  # --eps of every method, as QuadratureConfig and SeriesTolerance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,6 +71,23 @@ def _series_tol(t: float, eps_z: float) -> SeriesTolerance:
     return SeriesTolerance(eps=eps_z * (2.0 * math.pi / t) ** 1.75)
 
 
+def _series_est(t: float, eps_z: float, value: float, amp: float) -> float:
+    """est of a series route in Z units: tail target, summation roundoff,
+    and the longdouble rounding of theta(t) (6e8 rad at t = 7e7), which
+    moves Z by up to one ulp of theta times amp >= |dZ/dtheta|."""
+    return eps_z + 1e-12 * (1.0 + abs(value)) + _angles.ld_ulp(theta(t)) * amp
+
+
+def _approx(t: float, eps_z: float) -> tuple[float, float]:
+    """z_approx(t) and its est from one sum of H: the value is z_approx's
+    expression, bit for bit, and amp = (t/2pi)^(7/4) |H|."""
+    ph = theta_mod_2pi(t)
+    h = h_series(t, _series_tol(t, eps_z))
+    scale = (t / (2.0 * math.pi)) ** 1.75
+    value = scale * (math.cos(ph) * h.real - math.sin(ph) * h.imag)
+    return value, _series_est(t, eps_z, value, scale * abs(h))
+
+
 def _eval_record(t: float, method: str, sigma: float, eps: float) -> OutputRecord:
     start = time.perf_counter()
     if method == "oracle":
@@ -83,12 +101,12 @@ def _eval_record(t: float, method: str, sigma: float, eps: float) -> OutputRecor
         roundoff = 5e-15 * rho0(t) if t > 0.0 else 0.0
         est = (2.0 * eps + roundoff) / den + 1e-14
     elif method == "approx":
-        value = z_approx(t, _series_tol(t, eps))
-        est = eps + 1e-12 * (1.0 + abs(value))
+        value, est = _approx(t, eps)
     else:
         zg = g_series(t, _series_tol(t, eps))
-        value = zg.real / _denominator(t)
-        est = eps + 1e-12 * (1.0 + abs(value))
+        den = _denominator(t)
+        value = zg.real / den
+        est = _series_est(t, eps, value, abs(zg) / den)
     return OutputRecord(t, method, float(value), float(est),
                         time.perf_counter() - start)
 
@@ -117,8 +135,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _usage_error("--t must be nonnegative")
     if not 0.5 < sigma < 5.0 or abs(sigma - 3.0) < 1e-9:
         return _usage_error("--sigma must lie in (0.5, 5) excluding 3")
-    if not 0.0 < eps <= 1e-2:
-        return _usage_error("--eps must lie in (0, 1e-2]")
+    if not 0.0 < eps <= _EPS_MAX:
+        return _usage_error(f"--eps must lie in (0, {_EPS_MAX:g}]")
     try:
         record = _eval_record(t, args.method, sigma, eps)
     except ValueError as exc:
@@ -168,10 +186,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     for t in ts:
         try:
             zv, z_est = z_oracle_info(t)
-            za = z_approx(t, _series_tol(t, _TABLE_EPS_Z))
+            za, a_est = _approx(t, _TABLE_EPS_Z)
         except (ConvergenceError, PhaseTrackError) as exc:
             return _numerical_error(str(exc))
-        a_est = _TABLE_EPS_Z + 1e-12 * (1.0 + abs(za))
         worst = max(worst, z_est, a_est)
         rows.append((t, zv, z_est, za, a_est, abs(zv - za)))
     if args.json:
@@ -203,7 +220,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return _usage_error("--step must lie in (0, 0.25]")
     try:
         rep = phase_count_check(lo, hi, step)
-    except PhaseTrackError as exc:
+    except (ConvergenceError, PhaseTrackError) as exc:
         return _numerical_error(str(exc))
     verdict = "pass" if rep.verdict else "fail"
     if args.json:
@@ -236,9 +253,7 @@ def cmd_hstat(args: argparse.Namespace) -> int:
         return _usage_error("--step must lie in (0, 0.25]")
     try:
         c = float(c_statistic_profile([t], step)[0])
-    except PhaseTrackError as exc:
-        return _numerical_error(str(exc))
-    except ConvergenceError as exc:
+    except (ConvergenceError, PhaseTrackError) as exc:
         return _numerical_error(str(exc))
     scale = 0.5 * t * (math.log(t) - _angles.LOG_2PI) - 0.5 * t
     phase_end = -c * scale
@@ -282,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--t", type=float, required=True)
     p_eval.add_argument("--method", choices=_METHODS, required=True)
     p_eval.add_argument("--sigma", type=float, default=4.0)
-    p_eval.add_argument("--eps", type=float, default=1e-10)
+    p_eval.add_argument("--eps", type=float, default=1e-10,
+                        help="target error in Z units, in (0, 1e-3]")
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -1,6 +1,8 @@
 """Shared exception and warning types."""
 from __future__ import annotations
 
+__all__ = ["ConvergenceError", "PhaseTrackError", "AccuracyWarning"]
+
 
 class ConvergenceError(RuntimeError):
     """An iteration failed to converge, or a window/term cap was exceeded."""

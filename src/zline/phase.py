@@ -22,6 +22,7 @@ __all__ = [
     "AsymptoticSeries",
     "LOG_RHO_SERIES",
     "ALPHA_SERIES",
+    "BERNOULLI_EVEN",
     "h_exact",
     "h_polar",
     "log_rho_asymptotic",

@@ -44,17 +44,17 @@ __all__ = [
 ]
 
 _MAX_WINDOW = 1.0e5
+# trapezoid spacing of f_integral, f_integral_grid, f_staged and
+# strip_solve: staged differences cancel only on one shared lattice
+_STEP = 0.125
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Trapezoid spacing and tail target."""
-    step: float = 0.125
+    """Tail target of the truncated quadrature windows."""
     tail_eps: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.step <= 0.25:
-            raise ValueError("step must be in (0, 0.25]")
         if not 0.0 < self.tail_eps <= 1e-3:
             raise ValueError("tail_eps must be in (0, 1e-3]")
 
@@ -124,16 +124,14 @@ def _trapz_fsum(y: np.ndarray, x: np.ndarray) -> complex:
                    math.fsum(cells.imag.tolist()))
 
 
-def strip_solve(p: StripProblem, sigma: float, t: float,
-                cfg: QuadratureConfig | None = None) -> float:
+def strip_solve(p: StripProblem, sigma: float, t: float) -> float:
     """Value of the harmonic interpolant at sigma + i t inside the strip.
 
         u(sigma,t) = 1/(2w) int A(x) omega((sigma-a)/w, (x-t)/w) dx
                    + 1/(2w) int B(x) omega((b-sigma)/w, (x-t)/w) dx,
 
-    w = b - a.  Window is chosen from the growth bound and tail_eps.
+    w = b - a.  Window is chosen from the growth bound and tail_eps 1e-10.
     """
-    cfg = cfg or _DEFAULT_CFG
     if not p.a < sigma < p.b:
         raise ValueError("sigma must lie strictly inside the strip")
     w = p.b - p.a
@@ -144,12 +142,12 @@ def strip_solve(p: StripProblem, sigma: float, t: float,
     amp = max(float(np.max(np.abs(p.boundary_a(probe)) * scale)),
               float(np.max(np.abs(p.boundary_b(probe)) * scale)), 1e-300)
     half = (math.log(4.0 * amp * (1.0 + math.exp(p.growth * abs(t))))
-            + math.log(1.0 / (kappa * w * cfg.tail_eps))) / kappa
+            + math.log(1.0 / (kappa * w * _DEFAULT_CFG.tail_eps))) / kappa
     half = max(half, 2.0 * w)
     if half > _MAX_WINDOW:
         raise ConvergenceError(f"strip window {half:.3g} exceeds {_MAX_WINDOW:g}")
-    n = int(math.ceil(half / cfg.step))
-    xs = t + cfg.step * np.arange(-n, n + 1)
+    n = int(math.ceil(half / _STEP))
+    xs = t + _STEP * np.arange(-n, n + 1)
     u = (xs - t) / w
     ya = np.asarray(p.boundary_a(xs), dtype=float) * omega_kernel((sigma - p.a) / w, u)
     yb = np.asarray(p.boundary_b(xs), dtype=float) * omega_kernel((p.b - sigma) / w, u)
@@ -236,7 +234,8 @@ def f_on_line(x, sigma: float = 4.0):
         raise ValueError("sigma must lie in (1/2, 5) excluding 3")
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     if sigma == 4.0:
-        out = h_exact(xx) * zeta_right(4.0 + 1j * xx)
+        zeta = zeta_right(4.0 + 1j * xx)  # over the work budget: refused before h
+        out = h_exact(xx) * zeta
     else:
         ax = np.abs(xx)
         order = np.argsort(ax)
@@ -280,22 +279,21 @@ def f_integral(t: float, sigma: float = 4.0,
     if t < 0.0:
         return complex(np.conj(f_integral(-t, sigma, cfg)))
     half = _f_window(t, sigma, cfg)
-    h = cfg.step
+    h = _STEP
     n = int(math.ceil(half / h))
     xs = t + h * np.arange(-n, n + 1)
     y = f_on_line(xs, sigma) * kernel(xs - t, 2.0 * sigma - 1.0)
     return _trapz_fsum(y, xs)
 
 
-def z_from_integral(t: float, cfg: QuadratureConfig | None = None) -> float:
+def z_from_integral(t: float) -> float:
     """Z(t) recovered exactly from the line integral at sigma = 4."""
-    f = f_integral(t, 4.0, cfg)
+    f = f_integral(t)
     return f.real / (math.sqrt(0.25 + t * t) * math.sqrt(6.25 + t * t))
 
 
-def f_integral_grid(ts: np.ndarray, sigma: float = 4.0,
-                    cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """F(t) for an ascending array of t >= 0, sharing one sample grid.
+def f_integral_grid(ts: np.ndarray) -> np.ndarray:
+    """F(t) at sigma = 4 for ascending t >= 0, sharing one sample grid.
 
     Used by the phase trackers: thousands of t values reuse a single
     evaluation of f on the step-h lattice h*k, whose zeta values take the
@@ -303,23 +301,21 @@ def f_integral_grid(ts: np.ndarray, sigma: float = 4.0,
     reduction (deterministic for fixed shapes); the small loss of the fsum
     guarantee only perturbs tracked phases at the 1e-10 rad level.
     """
-    cfg = cfg or _DEFAULT_CFG
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.empty(0, dtype=complex)
     if np.any(ts < 0.0) or np.any(np.diff(ts) < 0.0):
         raise ValueError("ts must be ascending and nonnegative")
-    half = _f_window(float(ts[-1]), sigma, cfg)
-    h = cfg.step
+    half = _f_window(float(ts[-1]), 4.0, _DEFAULT_CFG)
+    h = _STEP
     lo = math.floor((ts[0] - half) / h)
     hi = math.ceil((ts[-1] + half) / h)
     xs = h * np.arange(lo, hi + 1)
-    y = f_on_line(xs, sigma)
-    width = 2.0 * sigma - 1.0
+    y = f_on_line(xs)
     out = np.empty(ts.size, dtype=complex)
     for start in range(0, ts.size, 256):
         tt = ts[start:start + 256, None]
-        rows = y[None, :] * kernel(xs[None, :] - tt, width)
+        rows = y[None, :] * kernel(xs[None, :] - tt)
         out[start:start + 256] = h * (rows.sum(axis=1)
                                       - 0.5 * (rows[:, 0] + rows[:, -1]))
     return out
@@ -375,7 +371,7 @@ def f_staged(t: float, stage: int, cfg: QuadratureConfig | None = None) -> compl
         raise ValueError("f_staged requires t >= 20")
     if stage not in (1, 2, 3, 4):
         raise ValueError("stage must be 1..4")
-    h = cfg.step
+    h = _STEP
     half1 = 28.0 / math.pi * math.log(t)
     if stage in (1, 2):
         # the stage-2 substitute needs x >= 10; clip (active only for t < 45)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import _angles
 from .errors import ConvergenceError, PhaseTrackError
-from .quad import QuadratureConfig, f_integral_grid
-from .series import SeriesTolerance, h_series_grid
+from .quad import f_integral_grid
+from .series import h_series_grid
 from .special import z_oracle
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 # element budget of one x-ray block (rows x terms)
 _XRAY_ELEMS = 1 << 22
-# term evaluations (points x terms) one x-ray may cost: minutes of work
-_XRAY_WORK = 1 << 31
+# zeros are located by bisection to this bracket width
+_REFINE_WIDTH = 1e-9
 # refine before a step gets anywhere near the pi/2 rejection threshold
 _REFINE_TRIGGER = 0.4 * math.pi
 _MAX_REFINE_ROUNDS = 6
@@ -175,8 +175,8 @@ def continuous_arg(samples: Iterable[Tuple[float, complex]]) -> PhaseTrack:
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float,
-            neg_left: bool, width: float) -> float:
-    while hi - lo > width:
+            neg_left: bool) -> float:
+    while hi - lo > _REFINE_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -193,29 +193,26 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
 def _lattice(a: float, b: float, step: float) -> np.ndarray:
     """a, a + step, ... below b, then b itself: strictly increasing even
     when the last arange point rounds to b or above."""
+    if not 0.0 < step <= 0.25:
+        raise ValueError("step must lie in (0, 0.25]")
     grid = np.arange(a, b, step)
     return np.append(grid[grid < b], b)
 
 
 def count_zeros(evaluator: Callable[[float], float], a: float, b: float,
-                step: float = 0.05, refine_width: float = 1e-9) -> ZeroScanReport:
+                step: float = 0.05) -> ZeroScanReport:
     """Locate sign changes of a real-valued function on [a, b].
 
     The scan samples at the given step and refines each bracket by
-    bisection until it is narrower than refine_width.  Zeros of even
-    order (no sign change) are invisible to this scan, so the count is a
-    lower bound in general.
+    bisection until it is narrower than 1e-9.  Zeros of even order (no
+    sign change) are invisible to this scan, so the count is a lower
+    bound in general.
     """
     a = float(a)
     b = float(b)
     step = float(step)
-    refine_width = float(refine_width)
     if not a < b:
         raise ValueError("need a < b")
-    if not 0.0 < step <= 0.25:
-        raise ValueError("step must lie in (0, 0.25]")
-    if refine_width <= 0.0:
-        raise ValueError("refine_width must be positive")
     grid = _lattice(a, b, step)
     vals = np.array([float(evaluator(float(t))) for t in grid])
     zeros: list = []
@@ -223,36 +220,34 @@ def count_zeros(evaluator: Callable[[float], float], a: float, b: float,
         flo, fhi = vals[i], vals[i + 1]
         if flo == 0.0:
             lo = float(grid[i])
-            if not zeros or lo - zeros[-1] > refine_width:
+            if not zeros or lo - zeros[-1] > _REFINE_WIDTH:
                 zeros.append(lo)
             continue
         if fhi == 0.0:
             continue  # credited when it becomes the left endpoint
         if (flo < 0.0) != (fhi < 0.0):
             zeros.append(_bisect(evaluator, float(grid[i]), float(grid[i + 1]),
-                                 flo < 0.0, refine_width))
-    if vals[-1] == 0.0 and (not zeros or b - zeros[-1] > refine_width):
+                                 flo < 0.0))
+    if vals[-1] == 0.0 and (not zeros or b - zeros[-1] > _REFINE_WIDTH):
         zeros.append(b)
     return ZeroScanReport((a, b), np.asarray(zeros), len(zeros))
 
 
-def phase_count_check(a: float, b: float, step: float = 0.05,
-                      quad: Optional[QuadratureConfig] = None) -> ZeroScanReport:
+def phase_count_check(a: float, b: float, step: float = 0.05) -> ZeroScanReport:
     """Cross-check counted zeros against the winding of the integral.
 
-    Scans the oracle for sign changes on [a, b], tracks the argument of
-    the analytic integral evaluator on the same grid, refined locally where
-    its phase moves fast, and records the verdict of
-    |delta_phi| / pi < count + 1.  A phase the refinement rounds cannot
-    resolve raises PhaseTrackError.
+    Tracks the argument of the analytic integral evaluator on a grid over
+    [a, b], refined locally where its phase moves fast, scans the oracle
+    for sign changes on the same grid, and records the verdict of
+    |delta_phi| / pi < count + 1.  An unresolved phase raises
+    PhaseTrackError, an F grid over the work budget ConvergenceError.
     """
     a = float(a)
     b = float(b)
     if not (a >= 10.0 and a < b):
         raise ValueError("need 10 <= a < b")
+    track = _refined_track(_lattice(a, b, step), f_integral_grid, "F")
     report = count_zeros(z_oracle, a, b, step)
-    track = _refined_track(_lattice(a, b, step),
-                           lambda ts: f_integral_grid(ts, 4.0, quad), "F")
     delta = track.delta
     verdict = bool(abs(delta) / math.pi < report.count + 1)
     return ZeroScanReport((a, b), report.zeros, report.count, delta, verdict)
@@ -316,39 +311,31 @@ def _refined_track(grid: np.ndarray, evaluate: Callable[[np.ndarray], np.ndarray
     return _track_values(grid, vals, source=source)
 
 
-def _arg_h_track(t_end: float, step: float,
-                 tol: Optional[SeriesTolerance],
-                 anchors: Optional[np.ndarray] = None) -> PhaseTrack:
-    """Track arg H from t = 1 up to t_end, refined locally."""
-    grid = _lattice(1.0, t_end, step)
-    if anchors is not None:
-        grid = np.unique(np.concatenate([grid, anchors]))
-    return _refined_track(grid, lambda ts: h_series_grid(ts, tol), "H")
+def _arg_h_track(t_end: float, step: float, anchors: np.ndarray) -> PhaseTrack:
+    """Track arg H from t = 1 up to t_end through the anchors, refined locally."""
+    grid = np.unique(np.concatenate([_lattice(1.0, t_end, step), anchors]))
+    return _refined_track(grid, h_series_grid, "H")
 
 
 def _phase_scale(t: np.ndarray) -> np.ndarray:
     return 0.5 * t * (np.log(t) - _angles.LOG_2PI) - 0.5 * t
 
 
-def c_statistic_profile(ts: Sequence[float], step: float = 0.05,
-                        tol: Optional[SeriesTolerance] = None) -> np.ndarray:
+def c_statistic_profile(ts: Sequence[float], step: float = 0.05) -> np.ndarray:
     """c at several heights from a single shared phase track."""
     ts_arr = np.unique(np.asarray(ts, dtype=float))
     if ts_arr.size == 0:
         raise ValueError("no evaluation points")
     if np.any(ts_arr < 100.0):
         raise ValueError("the statistic needs t >= 100")
-    if not 0.0 < step <= 0.25:
-        raise ValueError("step must lie in (0, 0.25]")
-    track = _arg_h_track(float(ts_arr[-1]), step, tol, anchors=ts_arr)
+    track = _arg_h_track(float(ts_arr[-1]), step, ts_arr)
     idx = np.searchsorted(track.grid, ts_arr)
     if not np.allclose(track.grid[idx], ts_arr, rtol=0.0, atol=0.0):
         raise RuntimeError("evaluation points lost during refinement")
     return -track.phase[idx] / _phase_scale(ts_arr)
 
 
-def c_statistic(t: float, step: float = 0.05,
-                tol: Optional[SeriesTolerance] = None) -> float:
+def c_statistic(t: float, step: float = 0.05) -> float:
     """Normalized decay rate of arg H, tracked continuously from t = 1.
 
     Returns -arg H(t) / (t/2 log(t / 2 pi) - t/2); the argument is the
@@ -358,7 +345,7 @@ def c_statistic(t: float, step: float = 0.05,
     t = float(t)
     if t < 100.0:
         raise ValueError("the statistic needs t >= 100")
-    return float(c_statistic_profile([t], step, tol)[0])
+    return float(c_statistic_profile([t], step)[0])
 
 
 def _sech_c(w: np.ndarray) -> np.ndarray:
@@ -386,10 +373,7 @@ def _h_complex(z) -> np.ndarray:
     if n0 > _XRAY_ELEMS:
         raise ConvergenceError(f"H at Re z = {re_max:g} needs {n0} terms, "
                                f"above the block budget of {_XRAY_ELEMS}")
-    if z.size * n0 > _XRAY_WORK:
-        raise ConvergenceError(f"{z.size} points x {n0} terms = {z.size * n0:.3g} "
-                               f"term evaluations, above the work budget of "
-                               f"{_XRAY_WORK:.3g}")
+    _angles.check_work(z.size, n0)
     n = np.arange(1, n0 + 1)
     log_n = _angles.log_ld(n)
     log_n_d = np.asarray(log_n, dtype=float)

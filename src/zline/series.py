@@ -18,7 +18,7 @@ polynomial of the staged integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,17 +41,17 @@ __all__ = [
     "g_series",
 ]
 
+_N_CAP = 500_000  # term-count cap of one H_r series and of the H grid
+
+
 @dataclass(frozen=True)
 class SeriesTolerance:
-    """Absolute tail target for the H_r series and a term-count safety cap."""
+    """Absolute tail target for the H_r series."""
     eps: float = 1e-10
-    n_cap: int = 500_000
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1e-3:
             raise ValueError("eps must be in (0, 1e-3]")
-        if self.n_cap < 16:
-            raise ValueError("n_cap must be at least 16")
 
 
 _DEFAULT_TOL = SeriesTolerance()
@@ -169,9 +169,9 @@ def h_r_series_info(t: float, r: int,
     if not 0 <= r <= 8:
         raise ValueError("h_r_series supports 0 <= r <= 8")
     n_terms = _n_terms(t, r, tol)
-    if n_terms > tol.n_cap:
+    if n_terms > _N_CAP:
         raise ConvergenceError(
-            f"H_{r}({t:g}) needs {n_terms} terms, above the cap {tol.n_cap}")
+            f"H_{r}({t:g}) needs {n_terms} terms, above the cap {_N_CAP}")
     n = np.arange(1, n_terms + 1, dtype=float)
     # cancellation-free form of y_n = (7/4) log(t/(2 pi n^2))
     y = 1.75 * (math.log(t) - _angles.LOG_2PI - 2.0 * np.log(n))
@@ -207,24 +207,24 @@ def h_series_info(t: float, tol: SeriesTolerance | None = None
     return h_r_series_info(t, 0, tol)
 
 
-def h_series_grid(ts, tol: SeriesTolerance | None = None) -> np.ndarray:
-    """H(t) over an array of t > 0, sharing one term range (sized for the
-    largest t).
+def h_series_grid(ts) -> np.ndarray:
+    """H(t) over an array of t > 0 at the default tolerance, sharing one
+    term range (sized for the largest t).
 
     Summation is numpy's pairwise reduction over a fixed shape: deterministic,
     and the fsum guarantee of the scalar route is not needed for
-    tracking-grade phases.  Chunked to bound memory.
+    tracking-grade phases.  Chunked; refused over the work budget.
     """
-    tol = tol or _DEFAULT_TOL
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.empty(0, dtype=complex)
     if np.any(ts <= 0.0):
         raise ValueError("h_series_grid requires t > 0")
-    n_terms = _n_terms(float(np.max(ts)), 0, tol)
-    if n_terms > tol.n_cap:
+    n_terms = _n_terms(float(np.max(ts)), 0, _DEFAULT_TOL)
+    if n_terms > _N_CAP:
         raise ConvergenceError(
-            f"H grid needs {n_terms} terms, above the cap {tol.n_cap}")
+            f"H grid needs {n_terms} terms, above the cap {_N_CAP}")
+    _angles.check_work(ts.size, n_terms)
     n = np.arange(1, n_terms + 1, dtype=float)
     log_n = np.log(n)
     log_n_ld = _angles.log_ld(n)
@@ -280,8 +280,8 @@ def g_series(t: float, tol: SeriesTolerance | None = None) -> complex:
                1.0 / (4.0 * t) + 165.0 / (32.0 * t2),
                41.0 / (48.0 * t2),
                1.0 / (32.0 * t2))
-    tols = [replace(tol, eps=0.5 * tol.eps)] + [
-        replace(tol, eps=min(1e-3, tol.eps / (8.0 * w))) for w in weights]
+    tols = [SeriesTolerance(0.5 * tol.eps)] + [
+        SeriesTolerance(min(1e-3, tol.eps / (8.0 * w))) for w in weights]
     h = [h_r_series(t, r, tol_r) for r, tol_r in enumerate(tols)]
     bracket = (h[0]
                + 15.0 * h[1] / (4.0 * t) + 1j * h[2] / (4.0 * t)

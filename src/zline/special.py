@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -24,7 +23,6 @@ from . import _angles
 from .errors import AccuracyWarning, ConvergenceError
 
 __all__ = [
-    "ZOracleConfig",
     "ln_gamma",
     "zeta_right",
     "zeta_em",
@@ -51,6 +49,9 @@ _STIRLING_COEF = (
 _STIRLING_SHIFT = 15.0  # |z| below this is shifted up by the recurrence
 
 _EM_CAP = 1.0e5  # validated |Im s| ceiling for zeta_em
+# largest t the oracle evaluates by Euler-Maclaurin; the Riemann-Siegel
+# formula with C0..C2 corrections takes over above
+_EM_SWITCH = 500.0
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +99,10 @@ def _zeta_em_core(s, n_terms: int):
     With one Re s for the whole call, the rows on a uniform lattice in
     Im s take the lattice route of _angles.lattice_sums; every other row
     sums its N terms directly, in row blocks under a fixed element budget.
+    Calls over _angles.WORK_BUDGET are refused before they allocate.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
+    _angles.check_work(s.size, n_terms)
     n = np.arange(1, n_terms + 1)
     log_n = _angles.log_ld(n)
     out = np.empty(s.shape, dtype=complex)
@@ -222,42 +225,9 @@ def _rs_corrections(p: float):
     return c0, c1, c2
 
 
-@functools.lru_cache(maxsize=1)
-def _correction_maxima():
-    """max |C_j| over p in [0,1], used for truncation-error estimates."""
-    p = np.linspace(0.0, 1.0, 2001)
-    der = _psi_chebyshev()
-    pi2 = math.pi ** 2
-    c0 = der[0](p)
-    c1 = -der[3](p) / (96.0 * pi2)
-    c2 = der[2](p) / (64.0 * pi2) + der[6](p) / (18432.0 * pi2 ** 2)
-    return (float(np.max(np.abs(c0))), float(np.max(np.abs(c1))),
-            float(np.max(np.abs(c2))))
-
-
 # calibrated against the Euler-Maclaurin route on the overlap t in [500, 2500]:
 # |Z_rs(order 2) - Z_em| * a^(7/2) stays below 3.5e-4; frozen with margin
 _RS_TRUNC_CONST = 2e-3
-
-
-@dataclass(frozen=True)
-class ZOracleConfig:
-    """Method switches for the Z(t) oracle.
-
-    em_switch: largest t evaluated by the Euler-Maclaurin route (the
-    Riemann-Siegel formula with C0..C2 corrections takes over above).
-    """
-    em_switch: float = 500.0
-    rs_correction_order: int = 2
-
-    def __post_init__(self):
-        if self.em_switch < 10.0:
-            raise ValueError("em_switch must be >= 10")
-        if self.rs_correction_order not in (0, 1, 2):
-            raise ValueError("rs_correction_order must be 0, 1 or 2")
-
-
-_DEFAULT_CFG = ZOracleConfig()
 
 
 def _z_em(t: float):
@@ -273,7 +243,7 @@ def _z_em(t: float):
     return val, est
 
 
-def _z_rs(t: float, order: int):
+def _z_rs(t: float):
     a = math.sqrt(t / (2.0 * math.pi))
     big_n = int(a)
     p = a - big_n
@@ -281,36 +251,28 @@ def _z_rs(t: float, order: int):
     ph = _angles.reduce_mod_2pi(
         _angles.vartheta_ld(t) - _angles.as_ld(t) * _angles.log_ld(n))
     main = 2.0 * float(np.sum(np.cos(ph) / np.sqrt(n)))
-    c0, c1, c2 = _rs_corrections(p)
-    corr = (c0, c1, c2)[: order + 1]
-    tail = sum(c * a ** (-j) for j, c in enumerate(corr))
+    tail = sum(c * a ** (-j) for j, c in enumerate(_rs_corrections(p)))
     val = main + (-1) ** (big_n - 1) * a ** -0.5 * tail
-    maxima = _correction_maxima()
-    if order < 2:
-        trunc = 2.0 * maxima[order + 1] * a ** (-order - 1.5)
-    else:
-        trunc = _RS_TRUNC_CONST * a ** -3.5
-    est = trunc + 1e-12 * math.sqrt(t)
+    est = _RS_TRUNC_CONST * a ** -3.5 + 1e-12 * math.sqrt(t)
     return val, est
 
 
-def z_oracle_info(t: float, cfg: ZOracleConfig | None = None):
+def z_oracle_info(t: float):
     """Z(t) plus an estimate of its absolute error: (value, est)."""
-    cfg = cfg or _DEFAULT_CFG
     t = abs(float(t))  # Z is even by construction
-    if t <= cfg.em_switch:
+    if t <= _EM_SWITCH:
         return _z_em(t)
-    return _z_rs(t, cfg.rs_correction_order)
+    return _z_rs(t)
 
 
-def z_oracle(t: float, cfg: ZOracleConfig | None = None) -> float:
+def z_oracle(t: float) -> float:
     """The Riemann-Siegel Z function, Z(t) = e^{i theta(t)} zeta(1/2+it).
 
-    Euler-Maclaurin below cfg.em_switch, Riemann-Siegel main sum with
-    C0..C2 corrections above.  Warns (AccuracyWarning) if the estimated
-    error exceeds 1e-6.
+    Euler-Maclaurin up to t = 500, Riemann-Siegel main sum with C0..C2
+    corrections above.  Warns (AccuracyWarning) if the estimated error
+    exceeds 1e-6.
     """
-    val, est = z_oracle_info(t, cfg)
+    val, est = z_oracle_info(t)
     if est > 1e-6:
         warnings.warn(f"z_oracle({t:g}): estimated error {est:.2e} > 1e-6",
                       AccuracyWarning, stacklevel=2)

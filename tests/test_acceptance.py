@@ -142,7 +142,7 @@ def test_c07_series_decay_and_independent_quadrature():
 
 
 def test_c08_staged_chain_gaps_and_series_consistency():
-    cfg = QuadratureConfig(step=0.125, tail_eps=1e-18)
+    cfg = QuadratureConfig(tail_eps=1e-18)
     for t in (1e2, 1e3, 1e4):
         F = f_integral(t, 4.0, cfg)
         F1, F2, F3, F4 = (f_staged(t, k, cfg) for k in (1, 2, 3, 4))

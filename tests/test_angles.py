@@ -2,11 +2,12 @@
 lattice sums against the direct route."""
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zline import _angles, zeta_right
+from zline import ConvergenceError, _angles, zeta_right
 from zline.special import _zeta_em_core
 
 _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
@@ -114,3 +115,61 @@ def test_lattice_shared_nodes_bit_identical():
 def test_off_lattice_rows_keep_the_direct_route(s):
     assert np.array_equal(_zeta_em_core(s, 1024),
                           _direct(s, 1024) + _angles.em_tail(s, 1024))
+
+
+def test_step_matrix_row_blocks_bit_identical(monkeypatch):
+    # 4096 terms fit all 64 step rows in one block by default; a smaller
+    # element budget fills them four rows at a time
+    s = 4.0 + 1j * (3000.0 + 0.125 * np.arange(256))
+    whole = zeta_right(s)
+    monkeypatch.setattr(_angles, "ROW_ELEMS", 1 << 14)
+    assert np.array_equal(zeta_right(s), whole)
+
+
+def test_step_matrix_memory_is_bounded():
+    # 128 lattice nodes at Im s = 1e5 sum N = 131072 terms, so the 64 x N
+    # step matrix takes 134 MB; built in row blocks, the call peaks at
+    # 183 MB (342 MB when the matrix was formed in one piece)
+    s = 4.0 + 1j * (1e5 + 0.125 * np.arange(128))
+    matrix = 64 * 131072 * 16
+    tracemalloc.start()
+    try:
+        zeta_right(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix
+
+
+def test_lattice_skips_oversized_step_matrix():
+    # 64 x (2^19 + 1) elements is above the 1 << 25 ceiling: the rows are
+    # left to the caller's row-blocked direct route, nothing is formed
+    n = np.arange(1, (1 << 19) + 2)
+    log_n = _angles.log_ld(n)
+    amp = n ** -4.0
+    x = 1e5 + 0.125 * np.arange(128)
+    tracemalloc.start()
+    try:
+        on, _ = _angles.lattice_sums(x, amp, log_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not on.any()
+    assert peak < 1 << 20
+
+
+# ------------------------------------------------------------- work budget
+
+def test_zeta_refuses_work_over_budget():
+    # 300 samples at Im s = 1e7 need 2^23 terms each: 2.5e9 term
+    # evaluations, above the 2^31 budget; refused before n is formed
+    s = 4.0 + 1j * (1e7 + 0.125 * np.arange(300))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError,
+                           match="300 points x 8388608 terms = 2.52e"):
+            zeta_right(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -2,11 +2,12 @@
 the JSON/CSV contracts."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zline import cli, scan, z_oracle
+from zline import cli, scan, z_approx, z_oracle
 from zline.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, OutputRecord
 
 
@@ -77,10 +78,69 @@ def test_eval_usage_errors(capsys):
                  ("eval", "--t", "100", "--method", "oracle", "--sigma", "9"),
                  ("eval", "--t", "100", "--method", "oracle", "--sigma", "6"),
                  ("eval", "--t", "100", "--method", "oracle", "--sigma", "3"),
-                 ("eval", "--t", "100", "--method", "oracle", "--eps", "0.5")):
+                 ("eval", "--t", "100", "--method", "oracle", "--eps", "0.5"),
+                 # (1e-3, 1e-2] was taken by approx and g, refused by integral
+                 ("eval", "--t", "100", "--method", "integral", "--eps", "5e-3"),
+                 ("eval", "--t", "100", "--method", "approx", "--eps", "5e-3")):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err
+
+
+def test_eval_approx_value_is_z_approx(capsys):
+    # the CLI sums H once for the value and its est; the value must stay
+    # z_approx's, bit for bit
+    for t in (10.0, 100.5, 1e4, 72015150.94):
+        code, out, _ = run(capsys, "eval", "--t", repr(t), "--method",
+                           "approx", "--json")
+        assert code == EXIT_OK
+        row = json.loads(out)["rows"][0]
+        assert row["value"] == z_approx(t, cli._series_tol(t, 1e-10))
+
+
+@pytest.mark.parametrize("t, ref", [
+    # mpmath's (t/2pi)^(7/4) Re{e^{i theta} H(t)}, each within 1e-11; the
+    # longdouble rounding of theta (~6e8 rad) moves Z by ~1e-10 here
+    (72015150.94, 5.957654318130753),
+    (70942985.02, -6.0853410056593775),
+])
+def test_eval_approx_est_covers_phase_rounding(capsys, t, ref):
+    code, out, _ = run(capsys, "eval", "--t", repr(t), "--method", "approx",
+                       "--json")
+    assert code == EXIT_OK
+    row = json.loads(out)["rows"][0]
+    assert abs(row["value"] - ref) + 1e-11 <= row["est"]
+
+
+@pytest.mark.parametrize("argv, estimate, peak_mb", [
+    # 3125 samples x 2^23 terms: the 64 x 2^23 step matrix alone is 8.6 GB
+    (("eval", "--t", "1e7", "--method", "integral"), "8388608 terms = 2.62e+10", 1),
+    # the tracking path from 0 off sigma = 4: 80130 samples x 65536 terms
+    (("eval", "--t", "2e4", "--method", "integral", "--sigma", "1.5"),
+     "65536 terms = 5.25e+09", 16),
+    # the F grid of the whole window: 802431 samples x 131072 terms
+    (("scan", "--from", "10", "--to", "1e5"), "131072 terms = 1.05e+11", 64),
+])
+def test_work_over_budget_is_refused_at_once(capsys, argv, estimate, peak_mb):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert estimate in err and "above the work budget" in err
+    assert peak < peak_mb << 20
+
+
+def test_hstat_over_budget_is_numerical_failure(capsys):
+    # 6e6 track points x 525 terms = 3.15e9; the track grid itself (6e6
+    # points) is built before the H grid refuses
+    code, out, err = run(capsys, "hstat", "--t", "3e5")
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "525 terms = 3.15e+09" in err
 
 
 def test_eval_bad_method_flag(capsys):

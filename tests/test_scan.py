@@ -102,8 +102,6 @@ def test_count_zeros_guards():
         count_zeros(math.sin, 2.0, 1.0)
     with pytest.raises(ValueError):
         count_zeros(math.sin, 0.0, 1.0, step=0.5)
-    with pytest.raises(ValueError):
-        count_zeros(math.sin, 0.0, 1.0, refine_width=0.0)
 
 
 def test_count_zeros_z_below_first():
@@ -150,7 +148,7 @@ def test_tracker_step_halving_consistency():
     ends = []
     for step in (0.05, 0.025):
         grid = np.append(np.arange(10.0, 40.0, step), 40.0)
-        vals = f_integral_grid(grid, 4.0, None)
+        vals = f_integral_grid(grid)
         ends.append(continuous_arg(zip(grid, vals)).phase[-1])
     assert abs(ends[0] - ends[1]) <= 1e-6
 
@@ -158,7 +156,7 @@ def test_tracker_step_halving_consistency():
 def test_track_sign_pattern_matches_oracle():
     # Re F is Z times a positive factor, so the sign patterns coincide
     grid = np.append(np.arange(10.0, 40.0, 0.05), 40.0)
-    vals = f_integral_grid(grid, 4.0, None)
+    vals = f_integral_grid(grid)
     oracle_signs = np.sign([z_oracle(float(t)) for t in grid])
     assert np.array_equal(np.sign(vals.real), oracle_signs)
 
@@ -204,12 +202,12 @@ def test_perturbation_false_witness_is_vacuous():
 
 def _leading_series_values(grid: np.ndarray) -> np.ndarray:
     phases = np.array([theta_mod_2pi(float(t)) for t in grid])
-    return np.exp(1j * phases) * rho0(grid) * h_series_grid(grid, None)
+    return np.exp(1j * phases) * rho0(grid) * h_series_grid(grid)
 
 
 def _perturbation_on(a: float, b: float):
     grid = np.append(np.arange(a, b, 0.01), b)
-    f = f_integral_grid(grid, 4.0, None)
+    f = f_integral_grid(grid)
     g = _leading_series_values(grid)
     witness = np.abs(f - g) < np.abs(f)
     f_track = continuous_arg(zip(grid, f))
@@ -259,7 +257,7 @@ def test_c_statistic_guards():
 def test_xray_real_row_matches_series():
     grid = xray_grid(10000.0, 10020.0, 0.0, 4.0, 21, 2)
     res = grid.re_values
-    ref = h_series_grid(res, None)
+    ref = h_series_grid(res)
     assert np.array_equal(grid.sign_re[:, 0], np.sign(ref.real).astype(np.int8))
     assert np.array_equal(grid.sign_im[:, 0], np.sign(ref.imag).astype(np.int8))
 

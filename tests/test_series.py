@@ -2,6 +2,7 @@
 the H_r evaluators with proven truncation, and the Z approximation."""
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,8 +175,9 @@ def test_truncation_soundness():
 
 
 def test_term_cap():
-    with pytest.raises(ConvergenceError):
-        h_series(1e8, SeriesTolerance(eps=1e-10, n_cap=16))
+    # eps = 1e-30 at t = 1e8 asks for ~3e6 terms, above the 500,000 cap
+    with pytest.raises(ConvergenceError, match="above the cap 500000"):
+        h_series(1e8, SeriesTolerance(eps=1e-30))
 
 
 def test_h_r_guards():
@@ -190,8 +192,6 @@ def test_tolerance_validation():
         SeriesTolerance(eps=0.0)
     with pytest.raises(ValueError):
         SeriesTolerance(eps=1e-2)
-    with pytest.raises(ValueError):
-        SeriesTolerance(n_cap=8)
 
 
 def test_h_series_grid_matches_scalar():
@@ -201,6 +201,21 @@ def test_h_series_grid_matches_scalar():
     grid = h_series_grid(ts)
     for t, v in zip(ts, grid):
         assert abs(v - h_series(float(t))) <= 2e-10
+
+
+def test_h_series_grid_refuses_work_over_budget():
+    # 10^6 points at t ~ 1e8 need 2505 terms each: 2.5e9 term evaluations,
+    # above the 2^31 budget; refused before the term arrays exist
+    ts = np.linspace(1e8, 1e8 + 1.0, 1_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError,
+                           match="1000000 points x 2505 terms = 2.5e"):
+            h_series_grid(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 # ----------------------------------------------------------------- z_approx

@@ -9,7 +9,6 @@ import pytest
 
 from zline import (
     AccuracyWarning,
-    ZOracleConfig,
     ln_gamma,
     rs_theta,
     upper_incomplete_gamma,
@@ -18,6 +17,7 @@ from zline import (
     zeta_em,
     zeta_right,
 )
+from zline import special
 
 # frozen references from an independent 30-digit run (2026-08)
 LN_GAMMA_4_10I = -6.662302539141383 + 17.926780947795681j
@@ -146,11 +146,11 @@ def test_z_oracle_evenness_exact():
 def test_z_oracle_continuity_at_switch():
     # Z itself moves by ~1e-2 across any 2e-3 window at this height, so
     # the seam is measured as the disagreement of the two methods at one
-    # and the same point, on both sides of the default switch
-    sw = ZOracleConfig().em_switch
+    # and the same point, on both sides of the switch
+    sw = special._EM_SWITCH
     for t in (sw - 1e-3, sw + 1e-3):
-        em_route = z_oracle(t, ZOracleConfig(em_switch=sw + 1.0))
-        rs_route = z_oracle(t, ZOracleConfig(em_switch=sw - 1.0))
+        em_route, _ = special._z_em(t)
+        rs_route, _ = special._z_rs(t)
         assert abs(em_route - rs_route) <= 1e-6, t
 
 
@@ -160,21 +160,16 @@ def test_z_oracle_error_estimate():
     assert 0.0 < est < 1e-6
 
 
-def test_z_oracle_accuracy_warning():
-    # stripping the correction terms degrades the estimate enough to warn
-    cfg = ZOracleConfig(em_switch=10.0, rs_correction_order=0)
-    with pytest.warns(AccuracyWarning):
-        z_oracle(20.0, cfg)
+def test_z_oracle_accuracy_warning(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z_oracle(20.0)  # default path stays quiet
-
-
-def test_z_oracle_config_validation():
-    with pytest.raises(ValueError):
-        ZOracleConfig(em_switch=5.0)
-    with pytest.raises(ValueError):
-        ZOracleConfig(rs_correction_order=3)
+        z_oracle(20.0)  # default paths stay quiet
+        z_oracle(600.0)
+    # a truncation constant 500 times the calibrated one lifts the
+    # Riemann-Siegel estimate at t = 600 (a ~ 9.8) to ~3e-4
+    monkeypatch.setattr(special, "_RS_TRUNC_CONST", 1.0)
+    with pytest.warns(AccuracyWarning):
+        z_oracle(600.0)
 
 
 # ------------------------------------------------- upper incomplete gamma
