@@ -8,12 +8,21 @@ So n_pow_minus_it forms and reduces the phase in numpy.longdouble (80-bit
 extended on x86-64) and converts only the reduced phase back to double;
 where longdouble is plain double the phase error is correspondingly larger.
 lattice_sums evaluates such a sum on a uniform lattice of t with one
-exact phase per block of nodes.  The callers keep their own amplitudes,
-term rules and summation; this module also holds what their sums share:
-log 2pi, the longdouble theta, the power-of-two term bucket, the
-Euler-Maclaurin tail and the work budget of every points x terms sum.
+exact phase per block of nodes.  An amplitude that does not depend on t
+(zeta's n^-s) is one row per block; one that moves with t through a shift
+d common to every n (the sech factor of H, where d = (7/4) log(t/c)) is
+K + 1 Taylor rows about the block's centre c, from sech_taylor, weighted
+per sample by d^k, with K from taylor_order; the constant row is K = 0.
+The x-ray uses the same Taylor rows on its tiles.  The callers keep their
+own amplitudes, term rules and summation; this module also holds what
+their sums share: log 2pi, the longdouble theta, the power-of-two term
+bucket, the Euler-Maclaurin tail and the work budget of every points x
+terms sum.
 """
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +48,12 @@ _LATTICE_MAX_ELEMS = 1 << 25
 ROW_ELEMS = 1 << 20
 #: term evaluations (points x terms) one sum may cost: minutes of work
 WORK_BUDGET = 1 << 31
+#: a Taylor amplitude stops where its next term is below this fraction
+TAYLOR_TOL = 1e-17
+#: highest Taylor order a lattice block or an x-ray sub-tile takes
+TAYLOR_MAX_ORDER = 16
+#: Taylor radius of sech in a real shift: its poles sit at +-i pi/2
+SECH_RADIUS = 0.5 * math.pi
 
 # B_{2k}/(2k)! for k = 1..4, the Euler-Maclaurin correction depth (B8).
 _EM_COEF = (
@@ -108,8 +123,60 @@ def n_pow_minus_it(t, log_n) -> np.ndarray:
     return cis(reduce_mod_2pi(np.multiply.outer(-as_ld(t), log_n)))
 
 
-def lattice_sums(x, amp, log_n):
-    """sum_n amp_n n^{-ix} for the samples of x that sit on a uniform
+@lru_cache(maxsize=None)
+def _sech_poly(k: int) -> tuple:
+    """Integer coefficients, ascending, of P_k with sech^(k) = sech P_k(tanh):
+    P_0 = 1 and P_{k+1}(T) = -T P_k(T) + (1 - T^2) P_k'(T)."""
+    if k == 0:
+        return (1,)
+    out = [0] * (k + 1)
+    for i, c in enumerate(_sech_poly(k - 1)):
+        out[i + 1] -= (i + 1) * c
+        if i:
+            out[i - 1] += i * c
+    return tuple(out)
+
+
+def sech_taylor(w, k_max: int) -> np.ndarray:
+    """The Taylor coefficients sech^(k)(w)/k!, k = 0..k_max, of sech at
+    real or complex w: shape (k_max + 1,) + w.shape.
+
+    sech is formed after reflection to Re w <= 0, so nothing overflows at
+    any w, and sech^(k) = sech P_k(tanh w) (see _sech_poly).
+    """
+    w = np.asarray(w)
+    e = np.exp(np.where(w.real > 0.0, -w, w))
+    sech = 2.0 * e / (1.0 + e * e)
+    out = np.empty((k_max + 1,) + w.shape, dtype=sech.dtype)
+    out[0] = sech
+    tanh = np.tanh(w) if k_max else None
+    for k in range(1, k_max + 1):
+        out[k] = sech * taylor_sum(_sech_poly(k), tanh) / math.factorial(k)
+    return out
+
+
+def taylor_order(q, tol: float = TAYLOR_TOL) -> np.ndarray:
+    """For q = max|d| / (Taylor radius) of a shift d, the order K at which
+    the first omitted term, of relative size q^(K+1), falls below tol;
+    -1 where that needs more than TAYLOR_MAX_ORDER."""
+    q = np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.maximum(np.floor(math.log(tol) / np.log(q)), 0.0)
+    k = np.where(q < 1.0, k, np.inf)
+    return np.where(k <= TAYLOR_MAX_ORDER, k, -1).astype(np.int64)
+
+
+def taylor_sum(rows, d):
+    """sum_k d^k rows[k] by Horner: rows a sequence of coefficients or of
+    arrays that d broadcasts against."""
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = acc * d + row
+    return acc
+
+
+def lattice_sums(x, amp, log_n, shift=None):
+    """sum_n a_n(x) n^{-ix} for the samples of x that sit on a uniform
     lattice (Odlyzko-Schoenhage in its simplest form): (on, sums), where on
     marks the rows computed and sums holds them; the other rows are left to
     the caller's direct route.
@@ -123,10 +190,23 @@ def lattice_sums(x, amp, log_n):
     inside it use n^{-ijh} from one step matrix built once per call, and
     the residual e = x - x_a - jh of a rounded lattice enters to first
     order, n^{-ie} ~ 1 - ie log n, through a second product with the
-    anchor row weighted by log n.  Every anchor gets its own
-    (1 x N) @ (N x B) product: BLAS rounds a row by the shape of the whole
-    product, so a fixed shape keeps shared nodes bit-identical across
-    calls.  The products sum n from N down to 1, smallest terms first.
+    anchor rows weighted by log n.  The products sum n from N down to 1,
+    smallest terms first.
+
+    amp is either the amplitude row a_n, the same at every x (zeta), or,
+    with shift, a function amp(c, K) of block centres c (M,) returning the
+    K + 1 Taylor rows a_n^(k)(c)/k!, shape (K + 1, M, N), of an amplitude
+    that moves with x through one shift d = shift(x, c) common to every n:
+    a_n(x) = sum_k d^k a_n^(k)(c)/k!, the anchor rows weighted per sample
+    by d^k.  The amplitude is taken to be analytic within SECH_RADIUS of
+    the real d axis (sech, whose poles sit at +-i pi/2); each block takes
+    the order taylor_order gives for its largest |d|, and a block that
+    would need more than TAYLOR_MAX_ORDER is left to the direct route.
+    A constant amplitude is K = 0 with weight 1, and keeps one
+    (1 x N) @ (N x B) product per anchor: BLAS rounds a row by the shape
+    of the whole product, so a fixed shape keeps shared nodes
+    bit-identical across calls.  Taylor rows carry no such invariant and
+    go in one stacked product per order and row chunk.
     """
     x = np.asarray(x, dtype=float)
     on = np.zeros(x.shape, dtype=bool)
@@ -137,25 +217,31 @@ def lattice_sums(x, amp, log_n):
     h = float(np.median(np.diff(x)))
     if not (h > 0.0 and np.all(np.abs(x) < h * 2.0 ** 52)):
         return on, sums
-    k = np.round(x / h).astype(np.int64)
-    block = k // _LATTICE_BLOCK
-    j = k - block * _LATTICE_BLOCK
+    block, j = np.divmod(np.round(x / h).astype(np.int64), _LATTICE_BLOCK)
     order = np.argsort(block, kind="stable")
     starts = np.flatnonzero(np.diff(block[order], prepend=block[order[0]] - 1))
-    groups = np.split(order, starts[1:])
-    rows, anchors, eps = [], [], []
-    for g in groups:
-        first = g[np.argmin(j[g])]
-        x_a = x[first] - j[first] * h
-        e = (x[g] - x_a) - j[g] * h
-        ok = np.abs(e) <= _LATTICE_SLACK
-        if np.count_nonzero(ok) >= _LATTICE_MIN_ROWS:
-            rows.append(g[ok])
-            anchors.append(x_a)
-            eps.append(e[ok])
-    if not rows:
+    del block
+    group = np.repeat(np.arange(starts.size), np.diff(np.append(starts, x.size)))
+    j_o = j[order]
+    # each block's anchor sits below its first row of lowest position
+    lowest = np.flatnonzero(j_o == np.minimum.reduceat(j_o, starts)[group])
+    first = order[lowest[np.searchsorted(group[lowest], np.arange(starts.size))]]
+    del lowest
+    x_a = x[first] - j[first] * h
+    e = x[order]
+    e -= x_a[group]
+    e -= j_o * h
+    del j_o
+    ok = np.abs(e) <= _LATTICE_SLACK
+    kept = np.bincount(group[ok], minlength=starts.size) >= _LATTICE_MIN_ROWS
+    ok &= kept[group]
+    if not ok.any():
         return on, sums
-    amp_d = amp[::-1]
+    # the kept rows, block by block, with their block's index among the kept
+    rows, eps = order[ok], e[ok]
+    blk = (np.cumsum(kept) - 1)[group[ok]]
+    anchors = x_a[kept]
+    counts = np.bincount(blk)
     log_d = log_n[::-1]
     log_d_f = np.asarray(log_d, dtype=float)
     chunk = max(1, ROW_ELEMS // n_terms)
@@ -171,14 +257,57 @@ def lattice_sums(x, amp, log_n):
         cis(phases, out=steps[j0:j0 + len(phases)])
         del phases
     steps = steps.T
-    for start in range(0, len(anchors), chunk):
-        anchor_rows = amp_d * n_pow_minus_it(
-            np.array(anchors[start:start + chunk]), log_d)
-        for a, row in enumerate(anchor_rows, start=start):
-            r, e = rows[a], eps[a]
-            s = (row @ steps)[j[r]]
-            if np.any(e != 0.0):
-                s = s - 1j * e * ((row * log_d_f) @ steps)[j[r]]
+    if shift is None:
+        amp_d = amp[::-1]
+        cuts = np.cumsum(counts)[:-1]
+        row_sets, eps_sets = np.split(rows, cuts), np.split(eps, cuts)
+        for start in range(0, anchors.size, chunk):
+            anchor_rows = amp_d * n_pow_minus_it(anchors[start:start + chunk], log_d)
+            for a, row in enumerate(anchor_rows, start=start):
+                r, e = row_sets[a], eps_sets[a]
+                s = (row @ steps)[j[r]]
+                if np.any(e != 0.0):
+                    s = s - 1j * e * ((row * log_d_f) @ steps)[j[r]]
+                sums[r] = s
+                on[r] = True
+        return on, sums
+    centres = anchors + (_LATTICE_BLOCK // 2) * h
+    d = shift(x[rows], centres[blk])
+    firsts = np.cumsum(counts) - counts
+    q = np.maximum.reduceat(np.abs(d), firsts) / SECH_RADIUS
+    orders = taylor_order(q)
+    # largest e log n of each block: the residual term's relative size
+    resid = np.maximum.reduceat(np.abs(eps), firsts) * float(log_d_f[0])
+    # rows grouped by their block's order, block by block within an order
+    by_order = np.argsort(orders[blk], kind="stable")
+    pos = 0
+    for kk in np.unique(orders):
+        sel = np.flatnonzero(orders == kk)
+        if kk < 0:
+            pos += int(counts[sel].sum())
+            continue
+        # K + 1 rows a block, and three times that in temporaries (the
+        # amplitude rows and the residual's product) under ROW_ELEMS
+        span = max(1, ROW_ELEMS // (4 * (kk + 1) * n_terms))
+        for start in range(0, sel.size, span):
+            blocks = sel[start:start + span]
+            size = int(counts[blocks].sum())
+            at = by_order[pos:pos + size]
+            pos += size
+            r, dd, ee = rows[at], d[at], eps[at]
+            b = np.repeat(np.arange(blocks.size), counts[blocks])
+            taylor = amp(centres[blocks], kk)[..., ::-1] * n_pow_minus_it(
+                anchors[blocks], log_d)
+            taylor = taylor.reshape(-1, n_terms)
+            prod = (taylor @ steps).reshape(kk + 1, blocks.size, _LATTICE_BLOCK)
+            s = taylor_sum(prod[:, b, j[r]], dd)
+            # the residual takes the order its smaller size needs
+            err = float(resid[blocks].max())
+            if err > 0.0:
+                ke = int(taylor_order(q[blocks].max(), TAYLOR_TOL / err))
+                fix = ((taylor[:(ke + 1) * blocks.size] * log_d_f) @ steps).reshape(
+                    ke + 1, blocks.size, _LATTICE_BLOCK)
+                s = s - 1j * ee * taylor_sum(fix[:, b, j[r]], dd)
             sums[r] = s
             on[r] = True
     return on, sums

@@ -21,7 +21,7 @@ import numpy as np
 from . import _angles
 from .errors import ConvergenceError, PhaseTrackError
 from .quad import f_integral_grid
-from .series import h_series_grid
+from .series import h_grid_terms, h_series_grid
 from .special import z_oracle
 
 __all__ = [
@@ -38,8 +38,11 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
-# element budget of one x-ray block (rows x terms)
+# most terms an x-ray row may take
 _XRAY_ELEMS = 1 << 22
+# an x-ray sub-tile this small that one Taylor expansion cannot cover is
+# summed term by term rather than halved again
+_XRAY_MIN_TILE = 16
 # zeros are located by bisection to this bracket width
 _REFINE_WIDTH = 1e-9
 # refine before a step gets anywhere near the pi/2 rejection threshold
@@ -312,7 +315,11 @@ def _refined_track(grid: np.ndarray, evaluate: Callable[[np.ndarray], np.ndarray
 
 
 def _arg_h_track(t_end: float, step: float, anchors: np.ndarray) -> PhaseTrack:
-    """Track arg H from t = 1 up to t_end through the anchors, refined locally."""
+    """Track arg H from t = 1 up to t_end through the anchors, refined
+    locally.  A track over the work budget is refused from its point
+    count, at most (t_end - 1)/step lattice points plus the anchors,
+    before the grid is built."""
+    h_grid_terms(t_end, math.ceil((t_end - 1.0) / step) + anchors.size)
     grid = np.unique(np.concatenate([_lattice(1.0, t_end, step), anchors]))
     return _refined_track(grid, h_series_grid, "H")
 
@@ -348,49 +355,95 @@ def c_statistic(t: float, step: float = 0.05) -> float:
     return float(c_statistic_profile([t], step)[0])
 
 
-def _sech_c(w: np.ndarray) -> np.ndarray:
-    # reflect to Re w <= 0 so the exponential never overflows
-    aw = np.where(w.real > 0.0, -w, w)
-    e = np.exp(aw)
-    return 2.0 * e / (1.0 + e * e)
+def _xray_plan(z: np.ndarray, i0: int, i1: int, j0: int, j1: int):
+    """Cover z[i0:i1, j0:j1] with Taylor sub-tiles (i0, i1, j0, j1, centre,
+    order) and direct ones (i0, i1, j0, j1), halving the longer side until
+    each sub-tile's shift d = (7/4) log(z/centre) is inside the reach of
+    one expansion: (taylor tiles, direct tiles)."""
+    zt = z[i0:i1, j0:j1]
+    centre = 0.5 * (zt[0, 0] + zt[-1, -1])
+    # sech(w) has its poles at Im w = +-pi/2, and Im w = (7/4) arg z
+    radius = _angles.SECH_RADIUS - 1.75 * abs(math.atan2(centre.imag, centre.real))
+    if radius > 0.0:
+        d_max = float(np.max(np.abs(1.75 * np.log1p((zt - centre) / centre))))
+        order = int(_angles.taylor_order(d_max / radius))
+        if order >= 0:
+            return [(i0, i1, j0, j1, centre, order)], []
+    if radius <= 0.0 or zt.size <= _XRAY_MIN_TILE:
+        return [], [(i0, i1, j0, j1)]
+    span = zt[-1, -1] - zt[0, 0]
+    if j1 - j0 < 2 or (i1 - i0 >= 2 and span.real >= span.imag):
+        mid = (i0 + i1) // 2
+        first, second = _xray_plan(z, i0, mid, j0, j1), _xray_plan(z, mid, i1, j0, j1)
+    else:
+        mid = (j0 + j1) // 2
+        first, second = _xray_plan(z, i0, i1, j0, mid), _xray_plan(z, i0, i1, mid, j1)
+    return first[0] + second[0], first[1] + second[1]
 
 
-def _h_complex(z) -> np.ndarray:
-    """The series evaluator continued off the real axis.
+def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
+    """The series evaluator continued off the real axis, on the grid
+    z = res[i] + 1j * ims[j] (increasing res and ims): shape (n_re, n_im).
 
-    Terms up to a cutoff past the stationary index are summed directly;
-    beyond it the hyperbolic factor is within 1e-18 of its leading
-    exponential, which turns the remainder into a Dirichlet tail with
-    exponent 15/2 + iz, summed in closed form.
+    Terms up to a cutoff past the stationary index are summed; beyond it
+    the hyperbolic factor is within 1e-18 of its leading exponential,
+    which turns the remainder into a Dirichlet tail with exponent
+    15/2 + iz, summed in closed form.  A term is n^{-4} sech(w_n(z))
+    n^{-i Re z} n^{Im z}, w_n = (7/4) log(z / 2 pi n^2).  Across a sub-tile
+    with centre c every w_n moves by the same d = (7/4) log(z/c), so the
+    sub-tile costs K + 1 products (A_k o R) @ P^T: A_k the Taylor rows
+    sech^(k)(w_n(c))/k!, R the rows n^{-i Re z} (phases always formed in
+    longdouble), P the rows n^{Im z - 4}, weighted by d^k.  Sub-tiles whose
+    d is out of reach of one expansion are halved; those that stay out of
+    reach (near Re z ~ |Im z|, or small ones) are summed term by term.
+    The sums over n run in chunks under _angles.ROW_ELEMS elements.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(z.real <= 0.0):
+    res = np.asarray(res, dtype=float)
+    ims = np.asarray(ims, dtype=float)
+    if np.any(res <= 0.0):
         raise ValueError("evaluation needs Re z > 0")
-    if np.any(z.imag <= -3.0) or np.any(z.imag > 4.0):
+    if np.any(ims <= -3.0) or np.any(ims > 4.0):
         raise ValueError("imaginary part must lie inside (-3, 4]")
-    re_max = float(z.real.max())
+    re_max = float(res.max())
     n0 = _angles.pow2_bucket(max(2048, int(0.4 * re_max) + 1), 2048)
     if n0 > _XRAY_ELEMS:
         raise ConvergenceError(f"H at Re z = {re_max:g} needs {n0} terms, "
                                f"above the block budget of {_XRAY_ELEMS}")
-    _angles.check_work(z.size, n0)
-    n = np.arange(1, n0 + 1)
-    log_n = _angles.log_ld(n)
-    log_n_d = np.asarray(log_n, dtype=float)
-    out = np.empty(z.shape, dtype=complex)
-    block = _XRAY_ELEMS // n0
-    # phases below 1e8 rad lose < 1e-8 rad in double: enough for signs
-    extended = re_max * math.log(n0) >= 1e8
-    for start in range(0, z.size, block):
-        zb = z[start:start + block]
-        w = 1.75 * (np.log(zb)[:, None] - _angles.LOG_2PI - 2.0 * log_n_d[None, :])
-        amp = np.exp((zb.imag[:, None] - 4.0) * log_n_d[None, :])
-        terms = amp * (_angles.n_pow_minus_it(zb.real, log_n) if extended
-                       else _angles.cis(np.outer(-zb.real, log_n_d))) * _sech_c(w)
-        pref = 2.0 * np.exp(1.75 * (np.log(zb) - _angles.LOG_2PI))
-        out[start:start + zb.size] = (terms.sum(axis=1)
-                                      + pref * _angles.em_tail(7.5 + 1j * zb, n0))
-    return out
+    _angles.check_work(res.size * ims.size, n0)
+    z = res[:, None] + 1j * ims[None, :]
+    tiles, direct = _xray_plan(z, 0, res.size, 0, ims.size)
+    acc = [np.zeros((order + 1, i1 - i0, j1 - j0), dtype=complex)
+           for i0, i1, j0, j1, _, order in tiles]
+    by_terms = np.zeros(z.shape, dtype=bool)
+    for i0, i1, j0, j1 in direct:
+        by_terms[i0:i1, j0:j1] = True
+    ii, jj = np.nonzero(by_terms)
+    out = np.zeros(z.shape, dtype=complex)
+    log_n = _angles.log_ld(np.arange(1, n0 + 1))
+    # n runs in chunks whose widest block of rows stays under ROW_ELEMS
+    width = max([res.size, ims.size] + [s.shape[0] * s.shape[1] for s in acc])
+    nc = max(1, _angles.ROW_ELEMS // width)
+    for c0 in range(0, n0, nc):
+        ln = log_n[c0:c0 + nc]
+        ln_d = np.asarray(ln, dtype=float)
+        phases = _angles.n_pow_minus_it(res, ln)
+        powers = np.exp((ims[:, None] - 4.0) * ln_d)
+        for (i0, i1, j0, j1, centre, order), s in zip(tiles, acc):
+            w = 1.75 * (np.log(centre) - _angles.LOG_2PI - 2.0 * ln_d)
+            rows = (_angles.sech_taylor(w, order)[:, None, :]
+                    * phases[None, i0:i1]).reshape(-1, ln.size)
+            s += (rows @ powers[j0:j1].T).reshape(s.shape)
+        step = max(1, _angles.ROW_ELEMS // ln.size)
+        for p0 in range(0, ii.size, step):
+            i, j = ii[p0:p0 + step], jj[p0:p0 + step]
+            w = 1.75 * (np.log(z[i, j])[:, None] - _angles.LOG_2PI - 2.0 * ln_d)
+            terms = powers[j] * phases[i] * _angles.sech_taylor(w, 0)[0]
+            out[i, j] += terms.sum(axis=1)
+    for (i0, i1, j0, j1, centre, order), s in zip(tiles, acc):
+        d = 1.75 * np.log1p((z[i0:i1, j0:j1] - centre) / centre)
+        out[i0:i1, j0:j1] = _angles.taylor_sum(s, d)
+    pref = 2.0 * np.exp(1.75 * (np.log(z) - _angles.LOG_2PI))
+    return out + pref * _angles.em_tail(7.5 + 1j * z.ravel(), n0).reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -417,7 +470,7 @@ def xray_grid(re0: float, re1: float, im0: float, im1: float,
               n_re: int, n_im: int) -> XrayGrid:
     """Evaluate sign(Re H) and sign(Im H) on an n_re x n_im rectangle.
 
-    The imaginary range must stay inside (-3, 4), where the continued
+    The imaginary range must stay inside (-3, 4], where the continued
     series retains enough decay to converge absolutely.
     """
     re0 = float(re0)
@@ -436,8 +489,7 @@ def xray_grid(re0: float, re1: float, im0: float, im1: float,
         raise ValueError("need at least a 2 x 2 grid")
     res = np.linspace(re0, re1, int(n_re))
     ims = np.linspace(im0, im1, int(n_im))
-    zs = res[:, None] + 1j * ims[None, :]
-    h = _h_complex(zs.ravel()).reshape(int(n_re), int(n_im))
+    h = _h_complex(res, ims)
     return XrayGrid(res, ims,
                     np.sign(h.real).astype(np.int8),
                     np.sign(h.imag).astype(np.int8))

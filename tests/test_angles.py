@@ -1,5 +1,5 @@
-"""The n^{-it} kernel against a 40-digit decimal reference, and the
-lattice sums against the direct route."""
+"""The n^{-it} kernel against a 40-digit decimal reference, the lattice
+sums against the direct route, and the Taylor rows of sech."""
 import decimal
 import math
 import tracemalloc
@@ -156,6 +156,76 @@ def test_lattice_skips_oversized_step_matrix():
         tracemalloc.stop()
     assert not on.any()
     assert peak < 1 << 20
+
+
+# ------------------------------------------------------------- Taylor rows
+
+@pytest.mark.parametrize("w", [
+    np.linspace(-40.0, 40.0, 81),                        # real, both tails
+    np.linspace(-6.0, 6.0, 25) + 1.2j,                   # 0.37 from a pole
+    np.linspace(-30.0, 30.0, 31) - 0.3j,
+])
+def test_sech_taylor_sums_to_shifted_sech(w):
+    # sum_k d^k sech^(k)(w)/k! against sech(w + d) formed directly, with
+    # |d| / (distance to the nearest pole) at most 0.1: order 16 is enough.
+    # The reference rounds w + d, which costs it ~eps |w| relative.
+    rows = _angles.sech_taylor(w, 16)
+    assert rows.shape == (17,) + w.shape
+    radius = _angles.SECH_RADIUS - np.abs(w.imag).max()
+    for d in (0.1 * radius, -0.07j * radius, 0.05 * radius * (1 + 1j)):
+        ref = 1.0 / np.cosh(w + d)
+        got = _angles.taylor_sum(rows, d)
+        assert np.all(np.abs(got - ref) <= 4.4e-16 * (1.0 + np.abs(w)) * np.abs(ref))
+
+
+def test_sech_taylor_first_rows():
+    y = np.linspace(-5.0, 5.0, 11)
+    rows = _angles.sech_taylor(y, 2)
+    sech, tanh = 1.0 / np.cosh(y), np.tanh(y)
+    assert np.allclose(rows[0], sech, rtol=1e-15, atol=0.0)
+    assert np.allclose(rows[1], -sech * tanh, rtol=1e-14, atol=1e-300)
+    assert np.allclose(rows[2], sech * (2 * tanh ** 2 - 1) / 2, rtol=1e-14, atol=1e-300)
+
+
+def test_taylor_order():
+    assert _angles.taylor_order(0.0) == 0
+    assert _angles.taylor_order(1e-4) == 4        # 1e-20 < 1e-17 < 1e-16
+    assert _angles.taylor_order(0.099) == 16
+    assert _angles.taylor_order(0.11) == -1       # past TAYLOR_MAX_ORDER
+    assert _angles.taylor_order(1.0) == -1
+
+
+def _h_terms(n):
+    """The H amplitude n^-4 sech(y_n(t)) as Taylor rows about c, and its
+    shift in y: the amplitude lattice_sums expands."""
+    log_n = np.log(n)
+
+    def rows(c, k_max):
+        y = 1.75 * (np.log(c)[:, None] - _angles.LOG_2PI - 2.0 * log_n)
+        return n ** -4.0 * _angles.sech_taylor(y, k_max)
+
+    def shift(t, c):
+        return 1.75 * np.log1p((t - c) / c)
+    return rows, shift
+
+
+@pytest.mark.parametrize("x", [
+    np.arange(1.0, 300.0, 0.05),              # the first blocks fall back
+    14000.0 + 0.05 * np.arange(2048),
+    150.0 + 0.025 * np.arange(1024),
+])
+def test_taylor_lattice_matches_direct(x):
+    n = np.arange(1, 301, dtype=float)
+    rows, shift = _h_terms(n)
+    on, sums = _angles.lattice_sums(x, rows, _angles.log_ld(n), shift)
+    assert on.mean() > 0.9
+    # near t ~ 1 a block's |d| is beyond one expansion: left to the caller
+    assert not on[x < 5.0].any()
+    at = np.flatnonzero(on)[::3]
+    y = 1.75 * (np.log(x[at])[:, None] - _angles.LOG_2PI - 2.0 * np.log(n))
+    ref = np.sum(n ** -4.0 / np.cosh(y)
+                 * _angles.n_pow_minus_it(x[at], _angles.log_ld(n)), axis=1)
+    assert float(np.max(np.abs(sums[at] - ref))) <= 1e-14 * float(np.max(np.abs(ref)))
 
 
 # ------------------------------------------------------------- work budget

@@ -1,5 +1,6 @@
 """Command-line front end: record formats, exit codes, determinism, and
 the JSON/CSV contracts."""
+import hashlib
 import json
 import math
 import tracemalloc
@@ -334,6 +335,45 @@ def test_xray_byte_determinism(tmp_path, capsys):
         assert code == EXIT_OK
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------- frozen output
+# Text and CSV bytes are pinned exactly.  JSON prints c and phase_end to
+# the last bit, which moves with the summation order of the H grid, so
+# those two are pinned to 1e-12 rad of phase: the frozen and the current
+# phase_end both sit 6.6e-10 rad from mpmath's arg H(383.9413428), the
+# default series tolerance.
+
+_FROZEN_HSTAT_TEXT = "c,0.2191268\nphase_end,-445.9097331\n"
+_FROZEN_HSTAT_JSON = (
+    '{"meta":{"version":"0.1.0","command":"hstat","flags":{"t":383.9413428,'
+    '"step":0.025}},"rows":[{"t":383.9413428,"c":0.20142851796755398,'
+    '"c_est":1e-07,"phase_end":-120.35965363326011,"phase_end_est":0.001}]}\n')
+_FROZEN_XRAY_SHA256 = "065343514cef2d12c4c64e6e7296579fc5d175a915fbfe5fb97b342e1cc9816a"
+
+
+def test_hstat_frozen_text(capsys):
+    assert run(capsys, "hstat", "--t", "1000") == (EXIT_OK, _FROZEN_HSTAT_TEXT, "")
+
+
+def test_hstat_frozen_json(capsys):
+    code, out, _ = run(capsys, "hstat", "--t", "383.9413428", "--step", "0.025",
+                       "--json")
+    assert code == EXIT_OK
+    got, frozen = json.loads(out), json.loads(_FROZEN_HSTAT_JSON)
+    row, ref = got["rows"][0], frozen["rows"][0]
+    assert abs(row.pop("phase_end") - ref.pop("phase_end")) <= 1e-12
+    scale = 0.5 * 383.9413428 * (math.log(383.9413428 / (2.0 * math.pi)) - 1.0)
+    assert abs(row.pop("c") - ref.pop("c")) <= 1e-12 / scale
+    assert got == frozen
+
+
+def test_xray_frozen_csv(tmp_path, capsys):
+    path = tmp_path / "grid.csv"
+    code, out, _ = run(capsys, "xray", "--re0", "20000", "--re1", "20010",
+                       "--im0", "-2", "--im1", "4", "--n", "40", "--out", str(path))
+    assert (code, out) == (EXIT_OK, f"out,{path}\nrows,1600\n")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _FROZEN_XRAY_SHA256
 
 
 # ----------------------------------------------------------- output record

@@ -27,6 +27,9 @@ from zline import (
     z_oracle,
 )
 
+from zline import _angles
+from zline.scan import _h_complex
+
 FIRST_ZEROS = (14.134725141734695, 21.022039638771554, 25.010857580145688)
 
 
@@ -243,6 +246,22 @@ def test_c_statistic_profile_band():
     assert np.all((vals >= 0.1) & (vals <= 0.45))
 
 
+def test_c_statistic_refuses_work_over_budget():
+    # t = 3e5 at step 0.05 is 6e6 track points x 525 terms = 3.15e9 term
+    # evaluations: refused from the point count, before the 48 MB track
+    # grid exists.  The first call loads what numpy imports lazily.
+    for traced in (False, True):
+        if traced:
+            tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="525 terms = 3.15e"):
+                c_statistic_profile([3e5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_c_statistic_guards():
     with pytest.raises(ValueError):
         c_statistic(50.0)
@@ -260,6 +279,43 @@ def test_xray_real_row_matches_series():
     ref = h_series_grid(res)
     assert np.array_equal(grid.sign_re[:, 0], np.sign(ref.real).astype(np.int8))
     assert np.array_equal(grid.sign_im[:, 0], np.sign(ref.imag).astype(np.int8))
+
+
+def _h_off_axis_direct(z):
+    """The continued series at each z summed term by term, every phase
+    formed in longdouble, plus the same closed-form tail."""
+    n0 = _angles.pow2_bucket(max(2048, int(0.4 * float(z.real.max())) + 1), 2048)
+    log_n = _angles.log_ld(np.arange(1, n0 + 1))
+    log_d = np.asarray(log_n, dtype=float)
+    out = np.empty(z.shape, dtype=complex)
+    for start in range(0, z.size, 128):
+        zb = z[start:start + 128]
+        w = 1.75 * (np.log(zb)[:, None] - _angles.LOG_2PI - 2.0 * log_d)
+        terms = (np.exp((zb.imag[:, None] - 4.0) * log_d) / np.cosh(w)
+                 * _angles.n_pow_minus_it(zb.real, log_n))
+        pref = 2.0 * np.exp(1.75 * (np.log(zb) - _angles.LOG_2PI))
+        out[start:start + 128] = (terms.sum(axis=1)
+                                  + pref * _angles.em_tail(7.5 + 1j * zb, n0))
+    return out
+
+
+@pytest.mark.parametrize("re0, re1, im0, im1, n, stride", [
+    (1000.0, 1010.0, -2.0, 4.0, 40, 2),       # the bench tiles
+    (1007.5, 1017.5, -2.0, 4.0, 40, 3),
+    (20000.0, 20010.0, -2.0, 4.0, 40, 5),
+    (10000.0, 10020.0, -2.0, 4.0, 100, 11),
+    (10.0, 20.0, -2.5, 4.0, 30, 1),           # halved into sub-tiles
+    (0.5, 3.0, -2.9, 4.0, 12, 1),             # summed term by term
+    (1.0, 500.0, -2.9, 4.0, 24, 1),           # both
+])
+def test_xray_kernel_matches_direct(re0, re1, im0, im1, n, stride):
+    res = np.linspace(re0, re1, n)
+    ims = np.linspace(im0, im1, n)
+    h = _h_complex(res, ims).ravel()[::stride]
+    ref = _h_off_axis_direct((res[:, None] + 1j * ims[None, :]).ravel()[::stride])
+    assert float(np.max(np.abs(h - ref))) <= 1e-11 * float(np.max(np.abs(ref)))
+    assert np.array_equal(np.sign(h.real), np.sign(ref.real))
+    assert np.array_equal(np.sign(h.imag), np.sign(ref.imag))
 
 
 def test_xray_box_has_sign_changes():

@@ -25,6 +25,9 @@ from zline import (
     z_approx,
     z_oracle,
 )
+from zline import _angles
+from zline.scan import _lattice
+from zline.series import h_grid_terms
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -216,6 +219,30 @@ def test_h_series_grid_refuses_work_over_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def _h_direct(ts, n_terms):
+    """H at each t summed term by term: the direct formula."""
+    n = np.arange(1, n_terms + 1, dtype=float)
+    y = 1.75 * (np.log(ts)[:, None] - _LOG_2PI - 2.0 * np.log(n))
+    return np.sum(n ** -4.0 / np.cosh(y)
+                  * _angles.n_pow_minus_it(ts, _angles.log_ld(n)), axis=1)
+
+
+@pytest.mark.parametrize("a, b, step", [
+    (1.0, 145.0, 0.05),              # its first blocks take the direct route
+    (1.0, 2770.0, 0.05),
+    (14000.0, 15000.0, 0.05),
+    (1.0, 383.9413428, 0.025),
+])
+def test_h_series_grid_lattice_matches_direct(a, b, step):
+    # hstat's track grids: the Taylor lattice against the direct formula,
+    # on about 2000 rows of each
+    ts = _lattice(a, b, step)
+    grid = h_series_grid(ts)
+    rows = np.arange(0, ts.size, max(1, ts.size // 2000))
+    ref = _h_direct(ts[rows], h_grid_terms(float(ts.max()), ts.size))
+    assert float(np.max(np.abs(grid[rows] - ref))) <= 1e-14 * float(np.max(np.abs(grid)))
 
 
 # ----------------------------------------------------------------- z_approx
