@@ -141,7 +141,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         record = _eval_record(t, args.method, sigma, eps)
     except ValueError as exc:
         return _usage_error(str(exc))
-    except (ConvergenceError, PhaseTrackError) as exc:
+    except ConvergenceError as exc:
         return _numerical_error(str(exc))
     if args.json:
         flags = {"t": t, "method": args.method, "sigma": sigma, "eps": eps}
@@ -187,7 +187,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         try:
             zv, z_est = z_oracle_info(t)
             za, a_est = _approx(t, _TABLE_EPS_Z)
-        except (ConvergenceError, PhaseTrackError) as exc:
+        except ConvergenceError as exc:
             return _numerical_error(str(exc))
         worst = max(worst, z_est, a_est)
         rows.append((t, zv, z_est, za, a_est, abs(zv - za)))

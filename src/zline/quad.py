@@ -12,7 +12,10 @@ exact integral to the series representation.
 Quadrature is the uniform trapezoid rule: the integrands extend
 analytically to |Im x| < 1 (branch point of the phase factor at x = i), so
 the discretization error decays like exp(-2 pi / step) and the tail
-truncation, controlled by tail_eps, dominates.  Final reductions use
+truncation, controlled by tail_eps, dominates.  Off sigma = 4 the kernel's
+poles at x - t = +-i(sigma - 1/2) leave an error of about
+4 exp(-2 pi (sigma - 1/2) / step) of |F|; below sigma ~ 1.18 f_integral
+shrinks the step to hold it at roundoff.  Final reductions use
 math.fsum, which keeps the huge-integrand cancellation in F exact to the
 last bit; staged differences share their sample lattice so common terms
 cancel exactly.
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import _angles
-from .errors import ConvergenceError, PhaseTrackError
+from .errors import ConvergenceError
 from .phase import h_exact, l1, rho0, theta, theta_mod_2pi
 from .special import ln_gamma, zeta_em, zeta_right
 
@@ -47,6 +50,8 @@ _MAX_WINDOW = 1.0e5
 # trapezoid spacing of f_integral, f_integral_grid, f_staged and
 # strip_solve: staged differences cancel only on one shared lattice
 _STEP = 0.125
+# relative trapezoid error off sigma = 4: the roundoff level of the est
+_STEP_TOL = 5e-15
 
 
 @dataclass(frozen=True)
@@ -159,76 +164,30 @@ def strip_solve(p: StripProblem, sigma: float, t: float) -> float:
 # f on vertical lines
 
 
-def _log_phi(s: np.ndarray) -> np.ndarray:
-    """log Phi(s) via the functional-equation form
+def _log_g(s: np.ndarray) -> np.ndarray:
+    """log g(s), Im s >= 0, for Phi = f^2 = g zeta^2, that is
+    g = 2 (s+2) s (1-s) (3-s) (2pi)^{-s} cos(pi s/2) Gamma(s).
 
-        Phi(s) = 2 (s+2) s (1-s) (3-s) (2pi)^{-s} cos(pi s/2) Gamma(s) zeta(s)^2,
-
-    with log cos evaluated overflow-safely.  Valid for 0 < Re s < 5 away
-    from s = 1 and the real zeros of the linear factors.
+    Each term is continuous on Im s > 0, and a real s is taken from there:
+    -(s - 1) and -(s - 3) have imaginary part -0.0, and |e^{2iz}| <= 1.
+    Im log g -> 0, -2 pi, -4 pi on Re s in (1/2, 1), (1, 3), (3, 5), so
+    exp(log g / 2) zeta is f: negative left of 3, positive right.
     """
-    s = np.asarray(s, dtype=complex)
     z = 0.5 * math.pi * s
-    # log cos z = -i z sgn + log1p(e^{2iz sgn}) - log 2, sgn matching Im z
-    sgn = np.where(s.imag >= 0.0, 1.0, -1.0)
-    logcos = -1j * sgn * z - math.log(2.0) + np.log1p(np.exp(2j * sgn * z))
-    sig = s.real
-    zeta = zeta_right(s) if np.all(sig >= 2.0) else zeta_em(s)
-    return (math.log(2.0) + np.log(s + 2.0) + np.log(s) + np.log(1.0 - s)
-            + np.log(3.0 - s) - s * _angles.LOG_2PI + logcos + ln_gamma(s)
-            + 2.0 * np.log(zeta))
-
-
-def _track_sqrt(p_vals: np.ndarray, anchor: float) -> np.ndarray:
-    """Assign signs to pointwise square roots so the result is continuous.
-
-    p_vals[0] corresponds to the anchor abscissa; anchor is the known real
-    value there.  A step is rejected when even the better sign choice is
-    within 2 percent of the ambiguous half-turn.
-    """
-    r = p_vals[1:] / p_vals[:-1]
-    ang = np.abs(np.angle(r))
-    jump = np.minimum(ang, math.pi - ang)
-    if np.any(jump > 0.49 * math.pi):
-        bad = int(np.argmax(jump > 0.49 * math.pi))
-        raise PhaseTrackError(
-            f"square-root branch ambiguous between samples {bad} and {bad+1}; "
-            "refine the tracking grid")
-    flips = np.where(r.real < 0.0, -1.0, 1.0)
-    start = 1.0 if anchor * p_vals[0].real >= 0 else -1.0
-    signs = start * np.concatenate(([1.0], np.cumprod(flips)))
-    return signs * p_vals
-
-
-def _f_general_sorted(xs: np.ndarray, sigma: float) -> np.ndarray:
-    """f(sigma+ix) for ascending xs >= 0, sign-tracked along a path from 0
-    that merges a uniform tracking lattice with xs."""
-    step_cap = min(0.25, math.pi / (2.0 * (2.0 + 0.5 * math.log(
-        max(float(xs[-1]), 20.0) / (2.0 * math.pi)))))
-    track = np.arange(0.0, float(xs[-1]) + step_cap, step_cap)[1:]
-    if abs(sigma - 1.0) < 1e-9:
-        # (1-s) zeta(s)^2 cos(pi s/2) is 0*inf at s=1; anchor with the limit
-        anchor = -math.sqrt(3.0)
-    else:
-        anchor_mag = math.exp(0.5 * float(_log_phi(np.array([sigma + 0j]))[0].real))
-        anchor = -anchor_mag if sigma < 3.0 else anchor_mag
-    inner = xs[xs > 0.0]
-    # Phi on the two lattices separately, so that each zeta call sees one
-    p_vals = np.exp(0.5 * np.concatenate([_log_phi(sigma + 1j * track),
-                                          _log_phi(sigma + 1j * inner)]))
-    path, first = np.unique(np.concatenate([[0.0], track, inner]),
-                            return_index=True)
-    tracked = _track_sqrt(np.concatenate([[anchor], p_vals])[first], anchor)
-    return tracked[np.searchsorted(path, xs)]
+    logcos = -1j * z - math.log(2.0) + np.log1p(np.exp(2j * z))
+    return (math.log(2.0) + np.log(s + 2.0) + np.log(s) + np.log(-(s - 1.0))
+            + np.log(-(s - 3.0)) - s * _angles.LOG_2PI + logcos + ln_gamma(s))
 
 
 def f_on_line(x, sigma: float = 4.0):
     """f(sigma+ix) on the vertical line, for sigma in (1/2,5) except 3.
 
-    sigma = 4 uses the factorization f = h(x) zeta(4+ix) directly; other
-    sigma take the analytic square root of Phi, sign-tracked continuously
-    from x = 0 where f(sigma) is real (negative left of 3, positive right).
-    Scalars or arrays; f(sigma-ix) = conj f(sigma+ix).
+    sigma = 4 uses the factorization f = h(x) zeta(4+ix); other sigma take
+    f = exp(log g / 2) zeta(sigma+ix), with log g at sigma+i|x| continuous
+    on Im s > 0 (see _log_g) and conjugated for x < 0, so no sign is left
+    to fix.  At s = 1, where (1-s) cos(pi s/2) zeta(s)^2 is 0 * inf, f
+    takes its limit -sqrt 3.  zeta is evaluated at the given abscissae
+    only.  Scalars or arrays; f(sigma-ix) = conj f(sigma+ix).
     """
     if not 0.5 < sigma < 5.0 or abs(sigma - 3.0) < 1e-9:
         raise ValueError("sigma must lie in (1/2, 5) excluding 3")
@@ -237,12 +196,15 @@ def f_on_line(x, sigma: float = 4.0):
         zeta = zeta_right(4.0 + 1j * xx)  # over the work budget: refused before h
         out = h_exact(xx) * zeta
     else:
-        ax = np.abs(xx)
-        order = np.argsort(ax)
-        vals_sorted = _f_general_sorted(ax[order], sigma)
-        vals = np.empty_like(vals_sorted)
-        vals[order] = vals_sorted
-        out = np.where(xx < 0.0, np.conj(vals), vals)
+        # zeta at ascending x, negative x included, so that a uniform
+        # lattice stays one; the root of g is conjugated below the axis
+        order = np.argsort(xx)
+        order = order[(xx[order] != 0.0) | (abs(sigma - 1.0) >= 1e-9)]
+        x = xx[order]
+        zeta = (zeta_right if sigma >= 2.0 else zeta_em)(sigma + 1j * x)
+        root = np.exp(0.5 * _log_g(sigma + 1j * np.abs(x)))
+        out = np.full(xx.size, -math.sqrt(3.0), dtype=complex)
+        out[order] = np.where(x < 0.0, np.conj(root), root) * zeta
     if np.ndim(x) == 0:
         return complex(out[0])
     return out
@@ -273,13 +235,14 @@ def f_integral(t: float, sigma: float = 4.0,
     """F(t) = int f(sigma+ix) kernel(x-t, 2 sigma-1) dx, exact representation.
 
     Re F(t) is independent of sigma and equals Z(t) sqrt(1/4+t^2)
-    sqrt(25/4+t^2).  Negative t by reflection F(-t) = conj F(t).
+    sqrt(25/4+t^2).  The step is 1/8, finer below sigma ~ 1.18 where the
+    kernel narrows.  Negative t by reflection F(-t) = conj F(t).
     """
     cfg = cfg or _DEFAULT_CFG
     if t < 0.0:
         return complex(np.conj(f_integral(-t, sigma, cfg)))
     half = _f_window(t, sigma, cfg)
-    h = _STEP
+    h = min(_STEP, 2.0 * math.pi * (sigma - 0.5) / math.log(4.0 / _STEP_TOL))
     n = int(math.ceil(half / h))
     xs = t + h * np.arange(-n, n + 1)
     y = f_on_line(xs, sigma) * kernel(xs - t, 2.0 * sigma - 1.0)
@@ -299,7 +262,8 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     evaluation of f on the step-h lattice h*k, whose zeta values take the
     lattice route of _angles.lattice_sums.  Summation is numpy's pairwise
     reduction (deterministic for fixed shapes); the small loss of the fsum
-    guarantee only perturbs tracked phases at the 1e-10 rad level.
+    guarantee only perturbs tracked phases at the 1e-10 rad level.  Work
+    over the budget, zeta's and then the kernel's, is refused.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
@@ -312,6 +276,7 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     hi = math.ceil((ts[-1] + half) / h)
     xs = h * np.arange(lo, hi + 1)
     y = f_on_line(xs)
+    _angles.check_work(ts.size, xs.size)  # the kernel at every t and sample
     out = np.empty(ts.size, dtype=complex)
     for start in range(0, ts.size, 256):
         tt = ts[start:start + 256, None]

@@ -22,7 +22,7 @@ from . import _angles
 from .errors import ConvergenceError, PhaseTrackError
 from .quad import f_integral_grid
 from .series import h_grid_terms, h_series_grid
-from .special import z_oracle
+from .special import oracle_terms, z_oracle
 
 __all__ = [
     "PhaseTrack",
@@ -193,11 +193,17 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
+def _lattice_size(a: float, b: float, step: float) -> int:
+    """Points of _lattice(a, b, step), or one more, without building it."""
+    if not 0.0 < step <= 0.25:
+        raise ValueError("step must lie in (0, 0.25]")
+    return math.ceil((b - a) / step) + 1
+
+
 def _lattice(a: float, b: float, step: float) -> np.ndarray:
     """a, a + step, ... below b, then b itself: strictly increasing even
     when the last arange point rounds to b or above."""
-    if not 0.0 < step <= 0.25:
-        raise ValueError("step must lie in (0, 0.25]")
+    _lattice_size(a, b, step)
     grid = np.arange(a, b, step)
     return np.append(grid[grid < b], b)
 
@@ -243,12 +249,14 @@ def phase_count_check(a: float, b: float, step: float = 0.05) -> ZeroScanReport:
     [a, b], refined locally where its phase moves fast, scans the oracle
     for sign changes on the same grid, and records the verdict of
     |delta_phi| / pi < count + 1.  An unresolved phase raises
-    PhaseTrackError, an F grid over the work budget ConvergenceError.
+    PhaseTrackError, work over the budget ConvergenceError (the oracle's
+    scan is checked before the grid exists).
     """
     a = float(a)
     b = float(b)
     if not (a >= 10.0 and a < b):
         raise ValueError("need 10 <= a < b")
+    _angles.check_work(_lattice_size(a, b, step), oracle_terms(a, b))
     track = _refined_track(_lattice(a, b, step), f_integral_grid, "F")
     report = count_zeros(z_oracle, a, b, step)
     delta = track.delta
@@ -381,6 +389,18 @@ def _xray_plan(z: np.ndarray, i0: int, i1: int, j0: int, j1: int):
     return first[0] + second[0], first[1] + second[1]
 
 
+def _xray_terms(re_max: float, points: int) -> int:
+    """Term count of an x-ray tile reaching Re z = re_max; refuses
+    (ConvergenceError) a row above _XRAY_ELEMS terms, or `points` points
+    of it above the work budget, before anything is allocated."""
+    n0 = _angles.pow2_bucket(max(2048, int(0.4 * re_max) + 1), 2048)
+    if n0 > _XRAY_ELEMS:
+        raise ConvergenceError(f"H at Re z = {re_max:g} needs {n0} terms, "
+                               f"above the block budget of {_XRAY_ELEMS}")
+    _angles.check_work(points, n0)
+    return n0
+
+
 def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
     """The series evaluator continued off the real axis, on the grid
     z = res[i] + 1j * ims[j] (increasing res and ims): shape (n_re, n_im).
@@ -404,12 +424,7 @@ def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
         raise ValueError("evaluation needs Re z > 0")
     if np.any(ims <= -3.0) or np.any(ims > 4.0):
         raise ValueError("imaginary part must lie inside (-3, 4]")
-    re_max = float(res.max())
-    n0 = _angles.pow2_bucket(max(2048, int(0.4 * re_max) + 1), 2048)
-    if n0 > _XRAY_ELEMS:
-        raise ConvergenceError(f"H at Re z = {re_max:g} needs {n0} terms, "
-                               f"above the block budget of {_XRAY_ELEMS}")
-    _angles.check_work(res.size * ims.size, n0)
+    n0 = _xray_terms(float(res.max()), res.size * ims.size)
     z = res[:, None] + 1j * ims[None, :]
     tiles, direct = _xray_plan(z, 0, res.size, 0, ims.size)
     acc = [np.zeros((order + 1, i1 - i0, j1 - j0), dtype=complex)
@@ -487,6 +502,8 @@ def xray_grid(re0: float, re1: float, im0: float, im1: float,
         raise ValueError("imaginary range must lie inside (-3, 4]")
     if n_re < 2 or n_im < 2:
         raise ValueError("need at least a 2 x 2 grid")
+    # refused from re1 (the axis's last point) before the axes exist
+    _xray_terms(re1, int(n_re) * int(n_im))
     res = np.linspace(re0, re1, int(n_re))
     ims = np.linspace(im0, im1, int(n_im))
     h = _h_complex(res, ims)

@@ -29,6 +29,7 @@ __all__ = [
     "rs_theta",
     "z_oracle",
     "z_oracle_info",
+    "oracle_terms",
     "upper_incomplete_gamma",
 ]
 
@@ -139,6 +140,10 @@ def zeta_right(s):
     return _restore_shape(_zeta_em_core(ss.ravel(), n_terms), s)
 
 
+def _em_terms(t_max: float) -> int:
+    return _angles.pow2_bucket(math.ceil(2.0 * t_max), 64)
+
+
 def zeta_em(s):
     """zeta(s) for Re s > 0, s != 1, |Im s| <= 1e5, by Euler-Maclaurin with
     N ~ max(64, 2|Im s|) initial terms and Bernoulli corrections through B8.
@@ -152,8 +157,7 @@ def zeta_em(s):
     t_max = float(np.max(np.abs(ss.imag))) if ss.size else 0.0
     if t_max > _EM_CAP:
         raise ValueError(f"zeta_em: |Im s| = {t_max:g} exceeds cap {_EM_CAP:g}")
-    n_terms = _angles.pow2_bucket(math.ceil(2.0 * t_max), 64)
-    return _restore_shape(_zeta_em_core(ss.ravel(), n_terms), s)
+    return _restore_shape(_zeta_em_core(ss.ravel(), _em_terms(t_max)), s)
 
 
 # ----------------------------------------------------------------------
@@ -246,19 +250,35 @@ def _z_em(t: float):
 def _z_rs(t: float):
     a = math.sqrt(t / (2.0 * math.pi))
     big_n = int(a)
+    _angles.check_work(1, big_n)
     p = a - big_n
-    n = np.arange(1, big_n + 1)
-    ph = _angles.reduce_mod_2pi(
-        _angles.vartheta_ld(t) - _angles.as_ld(t) * _angles.log_ld(n))
-    main = 2.0 * float(np.sum(np.cos(ph) / np.sqrt(n)))
+    th, tl = _angles.vartheta_ld(t), _angles.as_ld(t)
+    main = 0.0
+    for start in range(1, big_n + 1, _angles.ROW_ELEMS):
+        n = np.arange(start, min(start + _angles.ROW_ELEMS, big_n + 1))
+        ph = _angles.reduce_mod_2pi(th - tl * _angles.log_ld(n))
+        main += float(np.sum(np.cos(ph) / np.sqrt(n)))
     tail = sum(c * a ** (-j) for j, c in enumerate(_rs_corrections(p)))
-    val = main + (-1) ** (big_n - 1) * a ** -0.5 * tail
-    est = _RS_TRUNC_CONST * a ** -3.5 + 1e-12 * math.sqrt(t)
+    val = 2.0 * main + (-1) ** (big_n - 1) * a ** -0.5 * tail
+    # each phase theta - t log n carries up to 2 longdouble ulp of t log N,
+    # in quadrature over the weights 2/sqrt(n): 4 ulp sqrt(1 + log N)
+    log_n = math.log(big_n)
+    phase = 4.0 * _angles.ld_ulp(t * log_n) * math.sqrt(1.0 + log_n)
+    est = _RS_TRUNC_CONST * a ** -3.5 + 1e-12 * math.sqrt(t) + phase
     return val, est
 
 
+def oracle_terms(a: float, b: float) -> int:
+    """Largest term count of z_oracle over t in [a, b], 0 <= a <= b: the
+    Euler-Maclaurin zeta's up to t = 500, the Riemann-Siegel main sum's
+    above; both grow with t."""
+    em = _em_terms(min(b, _EM_SWITCH)) if a <= _EM_SWITCH else 0
+    return max(em, int(math.sqrt(b / (2.0 * math.pi))) if b > _EM_SWITCH else 0)
+
+
 def z_oracle_info(t: float):
-    """Z(t) plus an estimate of its absolute error: (value, est)."""
+    """Z(t) plus an estimate of its absolute error: (value, est).  A main
+    sum over the work budget (t above ~2.9e19) is refused before it exists."""
     t = abs(float(t))  # Z is even by construction
     if t <= _EM_SWITCH:
         return _z_em(t)

@@ -74,7 +74,8 @@ def test_c02_integral_route_matches_oracle():
 
 def test_c03_real_part_is_sigma_independent():
     for t in (20.0, 60.0):
-        vals = [f_integral(t, sigma).real for sigma in (1.5, 2.5, 4.0)]
+        vals = [f_integral(t, sigma).real
+                for sigma in (0.55, 0.6, 0.8, 1.0, 1.5, 2.5, 4.0)]
         assert max(vals) - min(vals) <= 1e-7, t
 
 

@@ -62,8 +62,8 @@ def _f_nodes(t):
     return t + 0.125 * np.arange(-951, 952)
 
 
-def _tracking_lattice(x_end, step=0.25):
-    # f_on_line's sign-tracking path off sigma = 4
+def _long_lattice(x_end, step=0.25):
+    # one lattice from next to 0 up to x_end, many blocks long
     return np.arange(0.0, x_end + step, step)[1:]
 
 
@@ -71,7 +71,7 @@ def _tracking_lattice(x_end, step=0.25):
     (_f_nodes(11.9), 4.0),          # t + kh rounds where it leaves t's binade
     (_f_nodes(100.0), 4.0),
     (_f_nodes(2513.984856), 4.0),
-    (_tracking_lattice(3000.0), 1.5),
+    (_long_lattice(3000.0), 1.5),
     (_f_nodes(400.0), 2.5),
 ])
 def test_lattice_matches_direct(x, sigma):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zline import cli, scan, z_approx, z_oracle
+from zline import cli, scan, z_approx, z_oracle, z_oracle_info
 from zline.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, OutputRecord
 
 
@@ -88,6 +88,19 @@ def test_eval_usage_errors(capsys):
         assert err
 
 
+@pytest.mark.parametrize("sigma", ["0.55", "0.6", "0.7"])
+@pytest.mark.parametrize("t", [30.0, 100.0])
+def test_eval_integral_narrow_kernel_matches_oracle(capsys, sigma, t):
+    # the kernel of width 2 sigma - 1 is narrow here: the trapezoid step
+    # shrinks with it
+    code, out, _ = run(capsys, "eval", "--t", repr(t), "--method", "integral",
+                       "--sigma", sigma, "--json")
+    assert code == EXIT_OK
+    row = json.loads(out)["rows"][0]
+    z, z_est = z_oracle_info(t)
+    assert abs(row["value"] - z) <= row["est"] + z_est
+
+
 def test_eval_approx_value_is_z_approx(capsys):
     # the CLI sums H once for the value and its est; the value must stay
     # z_approx's, bit for bit
@@ -116,11 +129,16 @@ def test_eval_approx_est_covers_phase_rounding(capsys, t, ref):
 @pytest.mark.parametrize("argv, estimate, peak_mb", [
     # 3125 samples x 2^23 terms: the 64 x 2^23 step matrix alone is 8.6 GB
     (("eval", "--t", "1e7", "--method", "integral"), "8388608 terms = 2.62e+10", 1),
-    # the tracking path from 0 off sigma = 4: 80130 samples x 65536 terms
-    (("eval", "--t", "2e4", "--method", "integral", "--sigma", "1.5"),
-     "65536 terms = 5.25e+09", 16),
+    # off sigma = 4, zeta at the window's samples only: 1433 x 2^21 terms
+    (("eval", "--t", "2e6", "--method", "integral", "--sigma", "2.5"),
+     "2097152 terms = 3.01e+09", 1),
     # the F grid of the whole window: 802431 samples x 131072 terms
     (("scan", "--from", "10", "--to", "1e5"), "131072 terms = 1.05e+11", 64),
+    # the oracle's scan, checked before the 1e14-point grid exists
+    (("scan", "--from", "10", "--to", "1e5", "--step", "1e-9"),
+     "1024 terms = 1.02e+17", 1),
+    # the Riemann-Siegel main sum: 3,989,422,804 terms
+    (("eval", "--t", "1e20", "--method", "oracle"), "3989422804 terms = 3.99e+09", 1),
 ])
 def test_work_over_budget_is_refused_at_once(capsys, argv, estimate, peak_mb):
     tracemalloc.start()
@@ -136,8 +154,8 @@ def test_work_over_budget_is_refused_at_once(capsys, argv, estimate, peak_mb):
 
 
 def test_hstat_over_budget_is_numerical_failure(capsys):
-    # 6e6 track points x 525 terms = 3.15e9; the track grid itself (6e6
-    # points) is built before the H grid refuses
+    # 6e6 track points x 525 terms = 3.15e9, refused from the point count
+    # before the track grid is built
     code, out, err = run(capsys, "hstat", "--t", "3e5")
     assert code == EXIT_NUMERICAL
     assert out == ""
@@ -307,6 +325,20 @@ def test_xray_over_budget_is_numerical_failure(tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     assert "134217728" in err
     assert out == "" and not out_path.exists()
+    # 4e14 points x 2048 terms at Re 1000: refused from re1 and n before
+    # the two axes (16 bytes a point each) are built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "xray", "--re0", "1000", "--re1", "1001",
+                             "--im0", "-2", "--im1", "4", "--n", "20000000",
+                             "--out", str(out_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_NUMERICAL
+    assert "2048 terms = 8.19e+17" in err
+    assert out == "" and not out_path.exists()
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------ determinism

@@ -120,9 +120,22 @@ def test_f_on_line_sigma_four_factorization():
 
 
 def test_f_on_line_conjugate():
-    for sigma in (2.0, 4.0):
+    for sigma in (0.6, 1.5, 2.0, 3.5, 4.0):
         assert abs(f_on_line(-13.0, sigma=sigma)
                    - np.conj(f_on_line(13.0, sigma=sigma))) < 1e-12
+
+
+@pytest.mark.parametrize("sigma, ref", [
+    # f(sigma) is real, negative left of 3 and positive right of it;
+    # frozen from the square root of Phi sign-tracked from x = 0
+    (0.6, -1.8216738797075656),
+    (1.0, -math.sqrt(3.0)),  # the limit at s = 1
+    (1.5, -1.462314977956908),
+    (3.5, 0.48053226727762016),
+    (4.5, 0.8481048506375211),
+])
+def test_f_on_line_at_real_axis(sigma, ref):
+    assert abs(f_on_line(0.0, sigma=sigma) - ref) <= 1e-15
 
 
 def test_f_on_line_domain():
@@ -170,8 +183,8 @@ def test_sigma_independence():
 
 
 def test_sigma_off_four_memory_is_bounded():
-    # the tracking path from 0 to t + window on the lattice route: the
-    # samples x terms matrix (12,000 x 8192 here) is never formed
+    # zeta at the window's nodes on the lattice route: the samples x
+    # terms matrix (473 x 8192 here, 62 MB) is never formed
     f_integral(100.0, 1.5)
     tracemalloc.start()
     try:
@@ -188,6 +201,14 @@ def test_f_integral_grid_matches_scalar():
     for t, v in zip(ts, grid_vals):
         ref = f_integral(float(t))
         assert abs(v - ref) <= 1e-9 * abs(ref)
+
+
+def test_f_integral_grid_refuses_kernel_work_over_budget():
+    # zeta at the 25,967 samples is under the budget; the kernel at 1e5
+    # points x those samples is not, and is refused before it is summed
+    ts = np.linspace(10.0, 3000.0, 100_000)
+    with pytest.raises(ConvergenceError, match="100000 points x 25967 terms"):
+        f_integral_grid(ts)
 
 
 # ---------------------------------------------------------- staged chain

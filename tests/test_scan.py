@@ -354,6 +354,9 @@ def test_xray_refuses_work_over_budget():
     try:
         with pytest.raises(ConvergenceError, match="above the work budget"):
             xray_grid(7e6, 7.00001e6, -1.0, 1.0, 23, 23)
+        # 4e14 points at Re z = 1000: refused before the axes are built
+        with pytest.raises(ConvergenceError, match="2048 terms = 8.19e"):
+            xray_grid(1000.0, 1001.0, -2.0, 4.0, 20_000_000, 20_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ import pytest
 from zline import (
     AccuracyWarning,
     ln_gamma,
+    oracle_terms,
     rs_theta,
     upper_incomplete_gamma,
     z_oracle,
@@ -17,7 +18,7 @@ from zline import (
     zeta_em,
     zeta_right,
 )
-from zline import special
+from zline import _angles, special
 
 # frozen references from an independent 30-digit run (2026-08)
 LN_GAMMA_4_10I = -6.662302539141383 + 17.926780947795681j
@@ -170,6 +171,45 @@ def test_z_oracle_accuracy_warning(monkeypatch):
     monkeypatch.setattr(special, "_RS_TRUNC_CONST", 1.0)
     with pytest.warns(AccuracyWarning):
         z_oracle(600.0)
+
+
+@pytest.mark.parametrize("t, ref", [
+    # mpmath siegelz at 40 digits (30 digits agree): the longdouble
+    # rounding of the phases theta - t log n, ~1e14 rad at 1e13, is the
+    # leading error here and the est must cover it
+    (1e10, 0.457593713139804041),
+    (1e12, 4.30883335480841878),
+    (3e12, 1.67371333413563718),
+    (1e13, -0.127460392726740617),
+])
+def test_z_oracle_est_covers_large_t(t, ref):
+    value, est = z_oracle_info(t)
+    assert abs(value - ref) <= est
+
+
+def test_z_oracle_main_sum_chunks(monkeypatch):
+    # one chunk up to 2^20 terms (t ~ 6.9e12): bit-identical to the sum
+    # of the whole main sum at once; above, the chunks hold memory flat
+    t = 1e8
+    n = np.arange(1, oracle_terms(t, t) + 1)
+    ph = _angles.reduce_mod_2pi(_angles.vartheta_ld(t)
+                                - _angles.as_ld(t) * _angles.log_ld(n))
+    main = 2.0 * float(np.sum(np.cos(ph) / np.sqrt(n)))
+    a = math.sqrt(t / (2.0 * math.pi))
+    p = a - n.size
+    tail = sum(c * a ** (-j) for j, c in enumerate(special._rs_corrections(p)))
+    whole = main + (-1) ** (n.size - 1) * a ** -0.5 * tail
+    assert special._z_rs(t)[0] == whole
+    # 3989 terms in chunks of 1000: the same sum up to its rounding
+    monkeypatch.setattr(_angles, "ROW_ELEMS", 1000)
+    assert abs(special._z_rs(t)[0] - whole) <= 1e-12
+
+
+def test_oracle_terms():
+    assert oracle_terms(10.0, 100.0) == 256       # zeta_em at 1/2 + 100i
+    assert oracle_terms(10.0, 1e5) == 1024        # its largest, at t <= 500
+    assert oracle_terms(600.0, 1e5) == 126        # floor(sqrt(1e5 / 2 pi))
+    assert oracle_terms(1e8, 1e8) == 3989
 
 
 # ------------------------------------------------- upper incomplete gamma
