@@ -8,16 +8,22 @@ So n_pow_minus_it forms and reduces the phase in numpy.longdouble (80-bit
 extended on x86-64) and converts only the reduced phase back to double;
 where longdouble is plain double the phase error is correspondingly larger.
 lattice_sums evaluates such a sum on a uniform lattice of t with one
-exact phase per block of nodes.  An amplitude that does not depend on t
-(zeta's n^-s) is one row per block; one that moves with t through a shift
-d common to every n (the sech factor of H, where d = (7/4) log(t/c)) is
-K + 1 Taylor rows about the block's centre c, from sech_taylor, weighted
-per sample by d^k, with K from taylor_order; the constant row is K = 0.
-The x-ray uses the same Taylor rows on its tiles.  The callers keep their
-own amplitudes, term rules and summation; this module also holds what
-their sums share: log 2pi, the longdouble theta, the power-of-two term
-bucket, the Euler-Maclaurin tail and the work budget of every points x
-terms sum.
+exact phase per block of nodes, and the nodes inside a block from a step
+matrix n^{-ijh} that depends only on the step h and the term count N.
+The last step matrix built is kept, read-only, for the next call with the
+same (h, N), as long as N <= RETAIN_TERMS (16384 terms, a 16 MB matrix);
+a larger one is built per call and kept by nobody.  An amplitude that
+does not depend on t (zeta's n^-s) is one row per block; one that moves
+with t through a shift d common to every n (the sech factor of H, where
+d = (7/4) log(t/c)) is K + 1 Taylor rows about the block's centre c, from
+sech_taylor, weighted per sample by d^k, with K from taylor_order; the
+constant row is K = 0.  The x-ray uses the same Taylor rows on its tiles.
+The callers keep their own amplitudes, term rules and summation; this
+module also holds what their sums share: log 2pi, the longdouble theta,
+the power-of-two term bucket, the Euler-Maclaurin tail, the work budget
+of every points x terms sum, and RETAIN_TERMS, the largest term count
+whose tables (the step matrix here, n and log n in the zeta sums) are
+kept between calls.
 """
 from __future__ import annotations
 
@@ -46,6 +52,9 @@ _LATTICE_MIN_ROWS = 16
 _LATTICE_MAX_ELEMS = 1 << 25
 #: element budget (rows x terms) of one block of phase rows
 ROW_ELEMS = 1 << 20
+#: largest term count whose tables are kept between calls: the step
+#: matrix (B x N, 16 MB) within ROW_ELEMS, n and log n (0.4 MB)
+RETAIN_TERMS = ROW_ELEMS // _LATTICE_BLOCK
 #: term evaluations (points x terms) one sum may cost: minutes of work
 WORK_BUDGET = 1 << 31
 #: a Taylor amplitude stops where its next term is below this fraction
@@ -175,6 +184,43 @@ def taylor_sum(rows, d):
     return acc
 
 
+# the last step matrix _step_matrix built, under its (h, N)
+_STEPS: dict = {}
+
+
+def _step_matrix(h: float, log_d) -> np.ndarray:
+    """The lattice step matrix n^{-ijh}, j = 0..B-1, for log_d = log_ld(n)
+    from n = N down to 1: shape (N, B), read-only.
+
+    It is built in row blocks under ROW_ELEMS: allocated after the first
+    block's phases, each block's freed before the next, it takes no more
+    page faults than a one-piece build.  The last matrix of at most
+    RETAIN_TERMS terms is kept under (h, N) and returned again; it is
+    dropped before any other is built, so two never coexist, and a larger
+    one is built per call and kept by nobody.
+    """
+    n_terms = log_d.size
+    key = (h, n_terms)
+    steps = _STEPS.get(key)
+    if steps is not None:
+        return steps
+    _STEPS.clear()
+    chunk = max(1, ROW_ELEMS // n_terms)
+    steps = None
+    for j0 in range(0, _LATTICE_BLOCK, chunk):
+        phases = reduce_mod_2pi(np.multiply.outer(
+            -as_ld(h * np.arange(j0, min(j0 + chunk, _LATTICE_BLOCK))), log_d))
+        if steps is None:
+            steps = np.empty((_LATTICE_BLOCK, n_terms), dtype=complex)
+        cis(phases, out=steps[j0:j0 + len(phases)])
+        del phases
+    steps.flags.writeable = False
+    steps = steps.T
+    if n_terms <= RETAIN_TERMS:
+        _STEPS[key] = steps
+    return steps
+
+
 def lattice_sums(x, amp, log_n, shift=None):
     """sum_n a_n(x) n^{-ix} for the samples of x that sit on a uniform
     lattice (Odlyzko-Schoenhage in its simplest form): (on, sums), where on
@@ -187,7 +233,9 @@ def lattice_sums(x, amp, log_n, shift=None):
     round(x/h).  Blocks of B nodes start where k is divisible by B, so a
     node inside a full block lands at the same block position in every
     call.  Each block's anchor phase n^{-ix_a} is formed exactly; the rows
-    inside it use n^{-ijh} from one step matrix built once per call, and
+    inside it use n^{-ijh} from the step matrix of _step_matrix, which
+    needs log_n = log_ld(n) for n = 1..N and is kept for the next call
+    with the same h and N up to RETAIN_TERMS terms, and
     the residual e = x - x_a - jh of a rounded lattice enters to first
     order, n^{-ie} ~ 1 - ie log n, through a second product with the
     anchor rows weighted by log n.  The products sum n from N down to 1,
@@ -245,18 +293,7 @@ def lattice_sums(x, amp, log_n, shift=None):
     log_d = log_n[::-1]
     log_d_f = np.asarray(log_d, dtype=float)
     chunk = max(1, ROW_ELEMS // n_terms)
-    # the step matrix, (B x N) in row blocks under ROW_ELEMS; allocated
-    # after the first block's phases, each block's freed before the next,
-    # it takes no more page faults than a one-piece build
-    steps = None
-    for j0 in range(0, _LATTICE_BLOCK, chunk):
-        phases = reduce_mod_2pi(np.multiply.outer(
-            -as_ld(h * np.arange(j0, min(j0 + chunk, _LATTICE_BLOCK))), log_d))
-        if steps is None:
-            steps = np.empty((_LATTICE_BLOCK, n_terms), dtype=complex)
-        cis(phases, out=steps[j0:j0 + len(phases)])
-        del phases
-    steps = steps.T
+    steps = _step_matrix(h, log_d)
     if shift is None:
         amp_d = amp[::-1]
         cuts = np.cumsum(counts)[:-1]

@@ -93,6 +93,25 @@ def ln_gamma(z):
 # zeta by Euler-Maclaurin
 
 
+# n = 1..N and log_ld(n) of the zeta sums, per term count N
+_TERMS: dict = {}
+
+
+def _terms(n_terms: int):
+    """(n, log_ld(n)) for n = 1..N, read-only.  Kept per N up to
+    _angles.RETAIN_TERMS, built per call above; zeta_right and zeta_em
+    count terms in powers of two, so all that is kept stays under 1 MB."""
+    table = _TERMS.get(n_terms)
+    if table is None:
+        n = np.arange(1, n_terms + 1)
+        table = (n, _angles.log_ld(n))
+        for a in table:
+            a.flags.writeable = False
+        if n_terms <= _angles.RETAIN_TERMS:
+            _TERMS[n_terms] = table
+    return table
+
+
 def _zeta_em_core(s, n_terms: int):
     """Euler-Maclaurin zeta for an array of s with common term count:
     the sum over n <= N plus the Euler-Maclaurin tail.
@@ -104,8 +123,7 @@ def _zeta_em_core(s, n_terms: int):
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     _angles.check_work(s.size, n_terms)
-    n = np.arange(1, n_terms + 1)
-    log_n = _angles.log_ld(n)
+    n, log_n = _terms(n_terms)
     out = np.empty(s.shape, dtype=complex)
     rest = np.arange(s.size)
     if s.size and np.all(s.real == s.real[0]):
@@ -209,23 +227,49 @@ def _psi_direct(p):
 
 @functools.lru_cache(maxsize=1)
 def _psi_chebyshev():
-    """Chebyshev model of the (entire) Psi on [-0.15, 1.15] plus derivatives.
-
-    Degree 100 interpolation, then trailing noise coefficients trimmed so
-    that repeated differentiation does not amplify roundoff.
+    """Chebyshev model of the (entire) Psi on [-0.15, 1.15] plus derivatives:
+    the degree 100 interpolant of _psi_direct, all 101 coefficients kept,
+    and its term-by-term derivatives of order 1..6 (degree 100 - k).
     """
     fit = Chebyshev.interpolate(_psi_direct, 100, domain=[-0.15, 1.15])
-    fit = fit.trim(1e-15)
     return tuple(fit.deriv(k) if k else fit for k in range(7))
 
 
-def _rs_corrections(p: float):
-    """Correction terms C0, C1, C2 of the Riemann-Siegel formula at p."""
+@functools.lru_cache(maxsize=1)
+def _psi_rows():
+    """Psi, Psi''', Psi'' and Psi^(6) of _psi_chebyshev as one table for
+    Clenshaw's recurrence: (off, scl, rows), x = off + scl p mapping the
+    domain onto [-1, 1], and rows[k] the four coefficients of degree
+    100 - k, as Python floats.  The shorter series are zero-padded at the
+    top; that is exact, as the recurrence passes zeros through unchanged
+    until a series' first coefficient."""
     der = _psi_chebyshev()
+    coef = np.zeros((101, 4))
+    for i, k in enumerate((0, 3, 2, 6)):
+        coef[:der[k].coef.size, i] = der[k].coef
+    off, scl = der[0].mapparms()
+    return float(off), float(scl), tuple(map(tuple, coef[::-1].tolist()))
+
+
+def _rs_corrections(p: float):
+    """Correction terms C0, C1, C2 of the Riemann-Siegel formula at p.
+
+    The four series of _psi_rows take one Clenshaw pass in Python floats:
+    the IEEE operations of numpy's chebval on each, in the same order, so
+    the values are those of the Chebyshev objects bit for bit."""
+    off, scl, rows = _psi_rows()
+    x = off + scl * p
+    x2 = 2 * x
+    (a0, a3, a2, a6), (b0, b3, b2, b6) = rows[1], rows[0]
+    for r0, r3, r2, r6 in rows[2:]:
+        a0, b0 = r0 - b0, a0 + b0 * x2
+        a3, b3 = r3 - b3, a3 + b3 * x2
+        a2, b2 = r2 - b2, a2 + b2 * x2
+        a6, b6 = r6 - b6, a6 + b6 * x2
     pi2 = math.pi ** 2
-    c0 = float(der[0](p))
-    c1 = -float(der[3](p)) / (96.0 * pi2)
-    c2 = float(der[2](p)) / (64.0 * pi2) + float(der[6](p)) / (18432.0 * pi2 ** 2)
+    c0 = a0 + b0 * x
+    c1 = -(a3 + b3 * x) / (96.0 * pi2)
+    c2 = (a2 + b2 * x) / (64.0 * pi2) + (a6 + b6 * x) / (18432.0 * pi2 ** 2)
     return c0, c1, c2
 
 

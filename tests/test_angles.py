@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zline import ConvergenceError, _angles, zeta_right
-from zline.special import _zeta_em_core
+from zline.special import _terms, _zeta_em_core
 
 _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
 _TS = (1e3, 1e6, 1e8 + 0.123)
@@ -119,26 +119,52 @@ def test_off_lattice_rows_keep_the_direct_route(s):
 
 def test_step_matrix_row_blocks_bit_identical(monkeypatch):
     # 4096 terms fit all 64 step rows in one block by default; a smaller
-    # element budget fills them four rows at a time
+    # element budget fills them four rows at a time.  The first call's
+    # matrix is kept, so the second starts from an empty store to build
+    # its own
     s = 4.0 + 1j * (3000.0 + 0.125 * np.arange(256))
     whole = zeta_right(s)
+    (kept,) = _angles._STEPS.values()
     monkeypatch.setattr(_angles, "ROW_ELEMS", 1 << 14)
+    monkeypatch.setattr(_angles, "_STEPS", {})
     assert np.array_equal(zeta_right(s), whole)
+    (rebuilt,) = _angles._STEPS.values()
+    assert rebuilt is not kept and np.array_equal(rebuilt, kept)
+
+
+def test_step_matrix_keeps_the_last():
+    log_d = _angles.log_ld(np.arange(1024, 0, -1))
+    first = _angles._step_matrix(0.125, log_d)
+    assert _angles._step_matrix(0.125, log_d) is first
+    other = _angles._step_matrix(0.25, log_d)
+    assert list(_angles._STEPS) == [(0.25, 1024)]
+    assert _angles._STEPS[(0.25, 1024)] is other
+
+
+def test_kept_tables_are_read_only():
+    zeta_right(4.0 + 1j * (100.0 + 0.125 * np.arange(256)))
+    (steps,) = _angles._STEPS.values()
+    for table in (steps,) + _terms(1024):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 def test_step_matrix_memory_is_bounded():
     # 128 lattice nodes at Im s = 1e5 sum N = 131072 terms, so the 64 x N
     # step matrix takes 134 MB; built in row blocks, the call peaks at
-    # 183 MB (342 MB when the matrix was formed in one piece)
+    # 183 MB (342 MB when the matrix was formed in one piece).  Above
+    # RETAIN_TERMS nothing of it, nor of n and log n, is kept after the call
     s = 4.0 + 1j * (1e5 + 0.125 * np.arange(128))
     matrix = 64 * 131072 * 16
+    zeta_right(4.0 + 1j * (100.0 + 0.125 * np.arange(128)))  # lazy imports
     tracemalloc.start()
     try:
         zeta_right(s)
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * matrix
+    assert current < 1 << 20
 
 
 def test_lattice_skips_oversized_step_matrix():

@@ -384,6 +384,12 @@ _FROZEN_HSTAT_JSON = (
 _FROZEN_XRAY_SHA256 = "065343514cef2d12c4c64e6e7296579fc5d175a915fbfe5fb97b342e1cc9816a"
 
 
+def _oracle_json(t: float, value: str, est: str) -> str:
+    return ('{"meta":{"version":"0.1.0","command":"eval","flags":{"t":%r,'
+            '"method":"oracle","sigma":4.0,"eps":1e-10}},"rows":[{"t":%r,'
+            '"method":"oracle","value":%s,"est":%s}]}\n' % (t, t, value, est))
+
+
 def test_hstat_frozen_text(capsys):
     assert run(capsys, "hstat", "--t", "1000") == (EXIT_OK, _FROZEN_HSTAT_TEXT, "")
 
@@ -398,6 +404,18 @@ def test_hstat_frozen_json(capsys):
     scale = 0.5 * 383.9413428 * (math.log(383.9413428 / (2.0 * math.pi)) - 1.0)
     assert abs(row.pop("c") - ref.pop("c")) <= 1e-12 / scale
     assert got == frozen
+
+
+@pytest.mark.parametrize("t, value, est", [
+    # the Riemann-Siegel route, its C0..C2 corrections included
+    ("600", "2.6715801421320204", "6.856391271198068e-07"),
+    ("1600", "0.0942799195468165", "1.2324683680476908e-07"),
+    ("1e4", "-0.3413947244335089", "5.087092663662779e-09"),
+    ("1e8", "3.645407868486116", "1.0709706182347008e-08"),
+])
+def test_eval_oracle_frozen_json(capsys, t, value, est):
+    assert run(capsys, "eval", "--method", "oracle", "--t", t, "--json") == (
+        EXIT_OK, _oracle_json(float(t), value, est), "")
 
 
 def test_xray_frozen_csv(tmp_path, capsys):

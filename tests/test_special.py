@@ -205,6 +205,24 @@ def test_z_oracle_main_sum_chunks(monkeypatch):
     assert abs(special._z_rs(t)[0] - whole) <= 1e-12
 
 
+def test_rs_corrections_match_chebyshev_objects():
+    # the one Clenshaw pass against numpy's evaluation of each Chebyshev
+    # object, bit for bit (sign of zero included), on 10^4 points of
+    # [0, 1): p = 0 and 1000 points within 1e-3 of each of 1/4 and 3/4
+    der = special._psi_chebyshev()
+    pi2 = math.pi ** 2
+    rng = np.random.default_rng(5)
+    ps = np.concatenate(([0.0, 0.25, 0.75], rng.uniform(0.0, 1.0, 7997),
+                         0.25 + rng.uniform(-1e-3, 1e-3, 1000),
+                         0.75 + rng.uniform(-1e-3, 1e-3, 1000)))
+    for p in ps.tolist():
+        ref = (float(der[0](p)),
+               -float(der[3](p)) / (96.0 * pi2),
+               float(der[2](p)) / (64.0 * pi2) + float(der[6](p)) / (18432.0 * pi2 ** 2))
+        got = special._rs_corrections(p)
+        assert np.array(got).tobytes() == np.array(ref).tobytes(), p
+
+
 def test_oracle_terms():
     assert oracle_terms(10.0, 100.0) == 256       # zeta_em at 1/2 + 100i
     assert oracle_terms(10.0, 1e5) == 1024        # its largest, at t <= 500
