@@ -18,8 +18,7 @@ from .special import (
     upper_incomplete_gamma,
     z_oracle,
     z_oracle_info,
-    zeta_em,
-    zeta_right,
+    zeta,
 )
 from .phase import (
     ALPHA_SERIES,
@@ -58,7 +57,6 @@ from .series import (
     h_r_series_info,
     h_series,
     h_series_grid,
-    h_series_info,
     z_approx,
 )
 from .scan import (
@@ -86,8 +84,7 @@ __all__ = [
     "upper_incomplete_gamma",
     "z_oracle",
     "z_oracle_info",
-    "zeta_em",
-    "zeta_right",
+    "zeta",
     "ALPHA_SERIES",
     "BERNOULLI_EVEN",
     "LOG_RHO_SERIES",
@@ -120,7 +117,6 @@ __all__ = [
     "h_r_series_info",
     "h_series",
     "h_series_grid",
-    "h_series_info",
     "z_approx",
     "PhaseTrack",
     "XrayGrid",

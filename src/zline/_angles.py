@@ -18,12 +18,13 @@ with t through a shift d common to every n (the sech factor of H, where
 d = (7/4) log(t/c)) is K + 1 Taylor rows about the block's centre c, from
 sech_taylor, weighted per sample by d^k, with K from taylor_order; the
 constant row is K = 0.  The x-ray uses the same Taylor rows on its tiles.
-The callers keep their own amplitudes, term rules and summation; this
-module also holds what their sums share: log 2pi, the longdouble theta,
-the power-of-two term bucket, the Euler-Maclaurin tail, the work budget
-of every points x terms sum, and RETAIN_TERMS, the largest term count
-whose tables (the step matrix here, n and log n in the zeta sums) are
-kept between calls.
+The callers keep their own amplitudes and summation, and the H sums their
+own term rules; this module also holds what their sums share: log 2pi,
+the longdouble theta, the power-of-two term bucket, the Euler-Maclaurin
+tail with zeta's one term rule (em_terms, from the first term the tail
+leaves out), the work budget of every points x terms sum, and
+RETAIN_TERMS, the largest term count whose tables (the step matrix here,
+n and log n in the zeta sums) are kept between calls.
 """
 from __future__ import annotations
 
@@ -71,6 +72,7 @@ _EM_COEF = (
     1.0 / 30240.0,       # B6/6!
     -1.0 / 1209600.0,    # B8/8!
 )
+_EM_NEXT = 1.0 / 47900160.0  # B10/10!, the first term em_tail leaves out
 
 
 def as_ld(x):
@@ -369,6 +371,19 @@ def pow2_bucket(n: int, floor: int) -> int:
     """
     n = max(int(n), floor)
     return 1 << (n - 1).bit_length()
+
+
+def em_terms(sigma: float, t_max: float, tol: float) -> int:
+    """Term count of an Euler-Maclaurin zeta over Re s >= sigma and
+    |Im s| <= t_max: the smallest power of two N >= 64 at which the first
+    term em_tail leaves out, |B10/10!| |s(s+1)...(s+8)| N^(-sigma-9) at
+    s = sigma + i t_max, is at most tol.  That term governs the truncation
+    error (Edwards, Riemann's Zeta Function, 1974, sec. 6.4); powers of two
+    keep shared nodes bit-identical (see pow2_bucket)."""
+    log_term = math.log(_EM_NEXT) + sum(math.log(math.hypot(sigma + k, t_max))
+                                        for k in range(9))
+    bits = math.ceil((log_term - math.log(tol)) / ((sigma + 9.0) * math.log(2.0)))
+    return 1 << max(bits, 6)
 
 
 def em_tail(s, n_terms: int):

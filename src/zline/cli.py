@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 
 from . import __version__, _angles
@@ -51,12 +50,11 @@ class OutputRecord:
     method: str
     value: float
     est: float
-    wall_s: float
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        for name in ("argument", "value", "est", "wall_s"):
+        for name in ("argument", "value", "est"):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError(f"non-finite field {name!r}")
 
@@ -89,7 +87,6 @@ def _approx(t: float, eps_z: float) -> tuple[float, float]:
 
 
 def _eval_record(t: float, method: str, sigma: float, eps: float) -> OutputRecord:
-    start = time.perf_counter()
     if method == "oracle":
         value, est = z_oracle_info(t)
     elif method == "integral":
@@ -107,8 +104,7 @@ def _eval_record(t: float, method: str, sigma: float, eps: float) -> OutputRecor
         den = _denominator(t)
         value = zg.real / den
         est = _series_est(t, eps, value, abs(zg) / den)
-    return OutputRecord(t, method, float(value), float(est),
-                        time.perf_counter() - start)
+    return OutputRecord(t, method, float(value), float(est))
 
 
 def _print_json(command: str, flags: dict, payload: dict) -> None:

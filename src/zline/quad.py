@@ -31,7 +31,7 @@ import numpy as np
 from . import _angles
 from .errors import ConvergenceError
 from .phase import h_exact, l1, rho0, theta, theta_mod_2pi
-from .special import ln_gamma, zeta_em, zeta_right
+from .special import ln_gamma, zeta
 
 __all__ = [
     "QuadratureConfig",
@@ -193,18 +193,18 @@ def f_on_line(x, sigma: float = 4.0):
         raise ValueError("sigma must lie in (1/2, 5) excluding 3")
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     if sigma == 4.0:
-        zeta = zeta_right(4.0 + 1j * xx)  # over the work budget: refused before h
-        out = h_exact(xx) * zeta
+        z = zeta(4.0 + 1j * xx)  # over the work budget: refused before h
+        out = h_exact(xx) * z
     else:
         # zeta at ascending x, negative x included, so that a uniform
         # lattice stays one; the root of g is conjugated below the axis
         order = np.argsort(xx)
         order = order[(xx[order] != 0.0) | (abs(sigma - 1.0) >= 1e-9)]
         x = xx[order]
-        zeta = (zeta_right if sigma >= 2.0 else zeta_em)(sigma + 1j * x)
+        z = zeta(sigma + 1j * x)
         root = np.exp(0.5 * _log_g(sigma + 1j * np.abs(x)))
         out = np.full(xx.size, -math.sqrt(3.0), dtype=complex)
-        out[order] = np.where(x < 0.0, np.conj(root), root) * zeta
+        out[order] = np.where(x < 0.0, np.conj(root), root) * z
     if np.ndim(x) == 0:
         return complex(out[0])
     return out
@@ -315,6 +315,13 @@ def _stage4_half(t: float, cfg: QuadratureConfig) -> float:
     return half
 
 
+def _zeta_to(x, reach: float) -> np.ndarray:
+    """zeta(4 + ix) with the term count of a call that also reaches
+    x = reach, a wider window's far node: the nodes the two calls share
+    then take bit-identical values."""
+    return zeta(4.0 + 1j * np.append(x, reach))[:-1]
+
+
 def f_staged(t: float, stage: int, cfg: QuadratureConfig | None = None) -> complex:
     """Staged approximations of F(t) for t >= 20.
 
@@ -325,9 +332,11 @@ def f_staged(t: float, stage: int, cfg: QuadratureConfig | None = None) -> compl
     stage 4: the stage-3 integrand over the full line
 
     Stages 1/2 and 3/4 share their sample lattices with f_integral and with
-    each other, so differences between consecutive stages are free of
-    cancellation noise: zeta at a shared node is bit-identical across the
-    calls, except in the partial lattice blocks at a window's two ends.
+    each other, and take the term count of the wider window (f_integral's
+    for stages 1/2, stage 4's for 3/4), so differences between consecutive
+    stages are free of cancellation noise: zeta at a shared node is
+    bit-identical across the calls, except in the partial lattice blocks at
+    a window's two ends.
     There the integrand is already down at the window's truncation level,
     so their rounding moves a stage gap by ~1e-16 of itself.
     """
@@ -341,18 +350,19 @@ def f_staged(t: float, stage: int, cfg: QuadratureConfig | None = None) -> compl
     if stage in (1, 2):
         # the stage-2 substitute needs x >= 10; clip (active only for t < 45)
         xs = _window_nodes(t, max(t - half1, 10.0), t + half1, h)
-        zeta = zeta_right(4.0 + 1j * xs)
+        z = _zeta_to(xs, t + h * math.ceil(_f_window(t, 4.0, cfg) / h))
         if stage == 1:
-            y = h_exact(xs) * zeta * kernel(xs - t)
+            y = h_exact(xs) * z * kernel(xs - t)
         else:
-            y = rho0(xs) * np.exp(1j * theta(xs)) * zeta * kernel(xs - t)
+            y = rho0(xs) * np.exp(1j * theta(xs)) * z * kernel(xs - t)
         return _trapz_fsum(y, xs)
 
-    half = half1 if stage == 3 else max(_stage4_half(t, cfg), half1)
+    half4 = max(_stage4_half(t, cfg), half1)
+    half = half1 if stage == 3 else half4
     us = _window_nodes(0.0, -half, half, h)
     beta = 0.5 * (_angles.log_ld(t) - _angles.LOG_2PI_LD)
     y = (l1(us, t) * _angles.cis_from_ld(beta * _angles.as_ld(us))
-         * zeta_right(4.0 + 1j * (t + us)) * kernel(us))
+         * _zeta_to(t + us, t + half4) * kernel(us))
     integral = _trapz_fsum(y, us)
     th_t = theta_mod_2pi(t)
     pref = rho0(t) * complex(math.cos(th_t), math.sin(th_t))

@@ -35,7 +35,6 @@ __all__ = [
     "h_r_series",
     "h_r_series_info",
     "h_series",
-    "h_series_info",
     "h_series_grid",
     "z_approx",
     "g_series",
@@ -200,12 +199,6 @@ def h_series(t: float, tol: SeriesTolerance | None = None) -> complex:
     which is exactly sech(y_n) and is evaluated in that stable form."""
     value, _, _ = h_r_series_info(t, 0, tol)
     return value
-
-
-def h_series_info(t: float, tol: SeriesTolerance | None = None
-                  ) -> tuple[complex, int, float]:
-    """H(t) with its term count and reported tail bound."""
-    return h_r_series_info(t, 0, tol)
 
 
 def h_grid_terms(t_max: float, points: int) -> int:

@@ -1,7 +1,8 @@
 """Self-contained special-function evaluators.
 
-Complex log-gamma on the right half plane, the Riemann zeta function on and
-to the right of the critical line (Euler-Maclaurin), the Riemann-Siegel
+Complex log-gamma on the right half plane, the Riemann zeta function for
+Re s > 0 (one Euler-Maclaurin evaluator whose term count is derived from
+its tolerance, see _angles.em_terms), the Riemann-Siegel
 theta and Z functions, and the upper incomplete gamma function.  Everything
 is plain double precision, except that phases of oscillatory terms are
 reduced mod 2pi in extended precision (see _angles) so that Z stays accurate
@@ -24,8 +25,7 @@ from .errors import AccuracyWarning, ConvergenceError
 
 __all__ = [
     "ln_gamma",
-    "zeta_right",
-    "zeta_em",
+    "zeta",
     "rs_theta",
     "z_oracle",
     "z_oracle_info",
@@ -49,7 +49,9 @@ _STIRLING_COEF = (
 )
 _STIRLING_SHIFT = 15.0  # |z| below this is shifted up by the recurrence
 
-_EM_CAP = 1.0e5  # validated |Im s| ceiling for zeta_em
+_EM_CAP = 1.0e5  # validated |Im s| ceiling of zeta left of Re s = 2
+# zeta's tol in the oracle: the 3e-12 term of its est covers the truncation
+_EM_TOL = 2e-12
 # largest t the oracle evaluates by Euler-Maclaurin; the Riemann-Siegel
 # formula with C0..C2 corrections takes over above
 _EM_SWITCH = 500.0
@@ -99,8 +101,8 @@ _TERMS: dict = {}
 
 def _terms(n_terms: int):
     """(n, log_ld(n)) for n = 1..N, read-only.  Kept per N up to
-    _angles.RETAIN_TERMS, built per call above; zeta_right and zeta_em
-    count terms in powers of two, so all that is kept stays under 1 MB."""
+    _angles.RETAIN_TERMS, built per call above; zeta counts terms in
+    powers of two, so all that is kept stays under 1 MB."""
     table = _TERMS.get(n_terms)
     if table is None:
         n = np.arange(1, n_terms + 1)
@@ -138,44 +140,30 @@ def _zeta_em_core(s, n_terms: int):
     return out + _angles.em_tail(s, n_terms)
 
 
-def _restore_shape(values, arg):
-    if np.isscalar(arg) or np.ndim(arg) == 0:
-        return complex(values[0])
-    return values.reshape(np.shape(arg))
-
-
-def zeta_right(s):
-    """zeta(s) for Re s >= 2: truncated Dirichlet series + Euler-Maclaurin
-    tail.  Absolute accuracy <= 1e-13.  Accepts scalars or arrays."""
+def zeta(s, tol: float = 2.0 ** -52):
+    """zeta(s) for Re s > 0, s != 1, and |Im s| <= 1e5 where Re s < 2, by
+    Euler-Maclaurin: the sum over n <= N plus the tail through B8, with N
+    from _angles.em_terms, so that the first term the tail leaves out is
+    at most tol at the call's smallest Re s and largest |Im s|.  The
+    default is one ulp of zeta ~ 1; the absolute error is about tol plus
+    the roundoff of the sum.  Accepts scalars or arrays; a call over the
+    work budget is refused (ConvergenceError) before it allocates."""
     ss = np.asarray(s, dtype=complex)
-    if np.any(ss.real < 2.0):
-        raise ValueError("zeta_right requires Re s >= 2")
-    t_max = float(np.max(np.abs(ss.imag))) if ss.size else 0.0
-    # floor 1024: with the B8-depth corrections the remainder behaves like
-    # (im/N)^9 / N^2, and a 256-term floor leaves ~1e-12 residue near
-    # im = 300; the higher floor is only felt by small-im calls
-    n_terms = _angles.pow2_bucket(math.ceil(0.75 * t_max), 1024)
-    return _restore_shape(_zeta_em_core(ss.ravel(), n_terms), s)
-
-
-def _em_terms(t_max: float) -> int:
-    return _angles.pow2_bucket(math.ceil(2.0 * t_max), 64)
-
-
-def zeta_em(s):
-    """zeta(s) for Re s > 0, s != 1, |Im s| <= 1e5, by Euler-Maclaurin with
-    N ~ max(64, 2|Im s|) initial terms and Bernoulli corrections through B8.
-    Absolute accuracy <= 1e-10 over that range (much better for moderate
-    |Im s|).  Accepts scalars or arrays."""
-    ss = np.asarray(s, dtype=complex)
-    if np.any(ss.real <= 0.0):
-        raise ValueError("zeta_em requires Re s > 0")
-    if np.any(np.abs(ss - 1.0) < 1e-10):
-        raise ValueError("zeta_em: s too close to the pole at s = 1")
-    t_max = float(np.max(np.abs(ss.imag))) if ss.size else 0.0
-    if t_max > _EM_CAP:
-        raise ValueError(f"zeta_em: |Im s| = {t_max:g} exceeds cap {_EM_CAP:g}")
-    return _restore_shape(_zeta_em_core(ss.ravel(), _em_terms(t_max)), s)
+    flat = ss.ravel()
+    if np.any(flat.real <= 0.0):
+        raise ValueError("zeta requires Re s > 0")
+    if np.any(np.abs(flat - 1.0) < 1e-10):
+        raise ValueError("zeta: s too close to the pole at s = 1")
+    left = np.abs(flat.imag[flat.real < 2.0])
+    if np.any(left > _EM_CAP):
+        raise ValueError(f"zeta: |Im s| = {left.max():g} exceeds cap "
+                         f"{_EM_CAP:g} left of Re s = 2")
+    if not flat.size:
+        return flat.reshape(ss.shape)
+    n_terms = _angles.em_terms(float(flat.real.min()),
+                               float(np.abs(flat.imag).max()), tol)
+    out = _zeta_em_core(flat, n_terms)
+    return complex(out[0]) if ss.ndim == 0 else out.reshape(ss.shape)
 
 
 # ----------------------------------------------------------------------
@@ -279,15 +267,15 @@ _RS_TRUNC_CONST = 2e-3
 
 
 def _z_em(t: float):
-    zeta = zeta_em(complex(0.5, t))
+    z = zeta(complex(0.5, t), _EM_TOL)
     if t >= 10.0:
         th = rs_theta(t)
         trunc = 31.0 / (80640.0 * t ** 5)
     else:
         th = _vartheta_small(t)
         trunc = 1e-14
-    val = (complex(math.cos(th), math.sin(th)) * zeta).real
-    est = abs(zeta) * trunc + 3e-12 * max(1.0, abs(zeta))
+    val = (complex(math.cos(th), math.sin(th)) * z).real
+    est = abs(z) * trunc + 3e-12 * max(1.0, abs(z))
     return val, est
 
 
@@ -316,7 +304,7 @@ def oracle_terms(a: float, b: float) -> int:
     """Largest term count of z_oracle over t in [a, b], 0 <= a <= b: the
     Euler-Maclaurin zeta's up to t = 500, the Riemann-Siegel main sum's
     above; both grow with t."""
-    em = _em_terms(min(b, _EM_SWITCH)) if a <= _EM_SWITCH else 0
+    em = _angles.em_terms(0.5, min(b, _EM_SWITCH), _EM_TOL) if a <= _EM_SWITCH else 0
     return max(em, int(math.sqrt(b / (2.0 * math.pi))) if b > _EM_SWITCH else 0)
 
 

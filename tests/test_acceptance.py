@@ -29,7 +29,7 @@ from zline import (
     upper_incomplete_gamma,
     z_from_integral,
     z_oracle,
-    zeta_right,
+    zeta,
 )
 
 # Z and its series approximation at the decade heights, 7 decimals
@@ -133,7 +133,7 @@ def test_c07_series_decay_and_independent_quadrature():
     t = 1e4
     beta = 0.5 * math.log(t / (2.0 * math.pi))
     xs = np.arange(-60.0, 60.0 + 1e-9, 0.0625)
-    vals = kernel(xs) * np.exp(1j * beta * xs) * zeta_right(4.0 + 1j * (t + xs))
+    vals = kernel(xs) * np.exp(1j * beta * xs) * zeta(4.0 + 1j * (t + xs))
     weights = np.ones_like(xs)
     weights[0] = weights[-1] = 0.5
     vals = weights * vals

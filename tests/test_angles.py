@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zline import ConvergenceError, _angles, zeta_right
+from zline import ConvergenceError, _angles, quad, zeta
 from zline.special import _terms, _zeta_em_core
 
 _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
@@ -86,22 +86,33 @@ def test_lattice_matches_direct(x, sigma):
     assert float(np.max(np.abs(sums[rows] - ref))) <= 4e-15 * scale
 
 
-def test_lattice_shared_nodes_bit_identical():
-    # f_integral's nodes and stage 1's window nodes at t = 1000 share their
-    # interior blocks; stage 1's partial end blocks may round differently
-    t = 1000.0
-    wide = _f_nodes(t)
+@pytest.mark.parametrize("t", [100.0, 1000.0, 2650.0])
+def test_lattice_shared_nodes_bit_identical(monkeypatch, t):
+    # stages 1/2 share f_integral's interior lattice blocks, and stage 3
+    # shares stage 4's; each takes the wider window's term count, which
+    # its own window alone would not always give (stage 3 128 against 256
+    # at t = 100, stage 1 512 against 1024 at t = 1000), so zeta is
+    # bit-identical at the shared nodes.  The narrow window's partial end
+    # blocks may round differently
+    calls = []
+
+    def recording(s):
+        out = zeta(s)
+        calls.append((np.asarray(s).imag, out))
+        return out
+
+    monkeypatch.setattr(quad, "zeta", recording)
+    quad.f_integral(t)
+    quad.f_staged(t, 1)
+    quad.f_staged(t, 4)
+    quad.f_staged(t, 3)
     half1 = 28.0 / math.pi * math.log(t)
-    # stage 1's lattice plus its off-lattice window ends
-    narrow = np.concatenate(([t - half1], wide[np.abs(wide - t) <= half1],
-                             [t + half1]))
-    a = zeta_right(4.0 + 1j * wide)
-    b = zeta_right(4.0 + 1j * narrow)
-    assert np.array_equal(zeta_right(4.0 + 1j * wide), a)
-    inner = np.abs(narrow - t) <= half1 - 64 * 0.125
-    common = np.isin(wide, narrow[inner])
-    assert np.count_nonzero(common) > 300
-    assert np.array_equal(a[common], b[inner])
+    for (wide, a), (narrow, b) in (calls[:2], calls[2:]):
+        assert np.array_equal(zeta(4.0 + 1j * wide), a)
+        inner = np.abs(narrow - t) <= half1 - 64 * 0.125
+        common = np.isin(wide, narrow[inner])
+        assert np.count_nonzero(common) > 300
+        assert np.array_equal(a[common], b[inner])
 
 
 @pytest.mark.parametrize("s", [
@@ -123,11 +134,11 @@ def test_step_matrix_row_blocks_bit_identical(monkeypatch):
     # matrix is kept, so the second starts from an empty store to build
     # its own
     s = 4.0 + 1j * (3000.0 + 0.125 * np.arange(256))
-    whole = zeta_right(s)
+    whole = _zeta_em_core(s, 4096)
     (kept,) = _angles._STEPS.values()
     monkeypatch.setattr(_angles, "ROW_ELEMS", 1 << 14)
     monkeypatch.setattr(_angles, "_STEPS", {})
-    assert np.array_equal(zeta_right(s), whole)
+    assert np.array_equal(_zeta_em_core(s, 4096), whole)
     (rebuilt,) = _angles._STEPS.values()
     assert rebuilt is not kept and np.array_equal(rebuilt, kept)
 
@@ -142,7 +153,7 @@ def test_step_matrix_keeps_the_last():
 
 
 def test_kept_tables_are_read_only():
-    zeta_right(4.0 + 1j * (100.0 + 0.125 * np.arange(256)))
+    _zeta_em_core(4.0 + 1j * (100.0 + 0.125 * np.arange(256)), 1024)
     (steps,) = _angles._STEPS.values()
     for table in (steps,) + _terms(1024):
         with pytest.raises(ValueError, match="read-only"):
@@ -150,16 +161,16 @@ def test_kept_tables_are_read_only():
 
 
 def test_step_matrix_memory_is_bounded():
-    # 128 lattice nodes at Im s = 1e5 sum N = 131072 terms, so the 64 x N
-    # step matrix takes 134 MB; built in row blocks, the call peaks at
-    # 183 MB (342 MB when the matrix was formed in one piece).  Above
-    # RETAIN_TERMS nothing of it, nor of n and log n, is kept after the call
+    # 128 lattice nodes of N = 131072 terms: the 64 x N step matrix takes
+    # 134 MB; built in row blocks, the call peaks at 183 MB (342 MB when
+    # the matrix was formed in one piece).  Above RETAIN_TERMS nothing of
+    # it, nor of n and log n, is kept after the call
     s = 4.0 + 1j * (1e5 + 0.125 * np.arange(128))
     matrix = 64 * 131072 * 16
-    zeta_right(4.0 + 1j * (100.0 + 0.125 * np.arange(128)))  # lazy imports
+    zeta(4.0 + 1j * (100.0 + 0.125 * np.arange(128)))  # lazy imports
     tracemalloc.start()
     try:
-        zeta_right(s)
+        _zeta_em_core(s, 131072)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -257,14 +268,14 @@ def test_taylor_lattice_matches_direct(x):
 # ------------------------------------------------------------- work budget
 
 def test_zeta_refuses_work_over_budget():
-    # 300 samples at Im s = 1e7 need 2^23 terms each: 2.5e9 term
+    # 300 samples at Im s = 1e9 need 2^23 terms each: 2.5e9 term
     # evaluations, above the 2^31 budget; refused before n is formed
-    s = 4.0 + 1j * (1e7 + 0.125 * np.arange(300))
+    s = 4.0 + 1j * (1e9 + 0.125 * np.arange(300))
     tracemalloc.start()
     try:
         with pytest.raises(ConvergenceError,
                            match="300 points x 8388608 terms = 2.52e"):
-            zeta_right(s)
+            zeta(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

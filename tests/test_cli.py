@@ -127,13 +127,13 @@ def test_eval_approx_est_covers_phase_rounding(capsys, t, ref):
 
 
 @pytest.mark.parametrize("argv, estimate, peak_mb", [
-    # 3125 samples x 2^23 terms: the 64 x 2^23 step matrix alone is 8.6 GB
-    (("eval", "--t", "1e7", "--method", "integral"), "8388608 terms = 2.62e+10", 1),
-    # off sigma = 4, zeta at the window's samples only: 1433 x 2^21 terms
-    (("eval", "--t", "2e6", "--method", "integral", "--sigma", "2.5"),
-     "2097152 terms = 3.01e+09", 1),
-    # the F grid of the whole window: 802431 samples x 131072 terms
-    (("scan", "--from", "10", "--to", "1e5"), "131072 terms = 1.05e+11", 64),
+    # 3433 samples x 2^21 terms: the 64 x 2^21 step matrix alone is 2.1 GB
+    (("eval", "--t", "1e8", "--method", "integral"), "2097152 terms = 7.2e+09", 1),
+    # off sigma = 4, zeta at the window's samples only: 1531 x 2^21 terms
+    (("eval", "--t", "1e7", "--method", "integral", "--sigma", "2.5"),
+     "2097152 terms = 3.21e+09", 1),
+    # the F grid of the whole window: 802431 samples x 16384 terms
+    (("scan", "--from", "10", "--to", "1e5"), "16384 terms = 1.31e+10", 64),
     # the oracle's scan, checked before the 1e14-point grid exists
     (("scan", "--from", "10", "--to", "1e5", "--step", "1e-9"),
      "1024 terms = 1.02e+17", 1),
@@ -430,8 +430,6 @@ def test_xray_frozen_csv(tmp_path, capsys):
 
 def test_output_record_validation():
     with pytest.raises(ValueError):
-        OutputRecord(argument=1.0, method="bogus", value=0.0, est=1e-9,
-                     wall_s=0.0)
+        OutputRecord(argument=1.0, method="bogus", value=0.0, est=1e-9)
     with pytest.raises(ValueError):
-        OutputRecord(argument=1.0, method="oracle", value=math.inf, est=1e-9,
-                     wall_s=0.0)
+        OutputRecord(argument=1.0, method="oracle", value=math.inf, est=1e-9)

@@ -22,7 +22,7 @@ from zline import (
     rho0,
     theta,
     theta_mod_2pi,
-    zeta_right,
+    zeta,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -78,14 +78,14 @@ def _log_phi(x: float) -> complex:
               - math.log(2.0))
     return (math.log(2.0) + np.log(s + 2.0) + np.log(s) + np.log(1.0 - s)
             + np.log(3.0 - s) - s * _LOG_2PI + logcos + ln_gamma(s)
-            + 2.0 * np.log(zeta_right(s)))
+            + 2.0 * np.log(zeta(s)))
 
 
 def test_square_identity():
     # h(x)^2 zeta(4+ix)^2 equals the reflected product form of Phi(4+ix)
     for x in np.arange(-200.0, 200.1, 2.5):
         x = float(x)
-        lhs = 2.0 * np.log(h_exact(x)) + 2.0 * np.log(zeta_right(4.0 + 1j * x))
+        lhs = 2.0 * np.log(h_exact(x)) + 2.0 * np.log(zeta(4.0 + 1j * x))
         assert abs(np.exp(_log_phi(x) - lhs) - 1.0) < 1e-10, f"x={x}"
 
 

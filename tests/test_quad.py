@@ -23,7 +23,7 @@ from zline import (
     strip_solve,
     z_from_integral,
     z_oracle,
-    zeta_right,
+    zeta,
 )
 from zline import quad
 
@@ -113,9 +113,9 @@ def test_f_on_line_sigma_two():
 
 def test_f_on_line_sigma_four_factorization():
     assert abs(f_on_line(0.0, sigma=4.0)
-               - h_exact(0.0) * zeta_right(4.0 + 0j)) < 1e-14
+               - h_exact(0.0) * zeta(4.0 + 0j)) < 1e-14
     v = f_on_line(17.0, sigma=4.0)
-    ref = h_exact(17.0) * zeta_right(4.0 + 17.0j)
+    ref = h_exact(17.0) * zeta(4.0 + 17.0j)
     assert abs(v - ref) / abs(ref) < 1e-12
 
 

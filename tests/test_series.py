@@ -17,9 +17,9 @@ from zline import (
     fourier_cosh_moment,
     g_series,
     h_r_series,
+    h_r_series_info,
     h_series,
     h_series_grid,
-    h_series_info,
     rho0,
     theta_mod_2pi,
     z_approx,
@@ -148,7 +148,7 @@ def test_h1_first_term_vanishes():
 def test_h_series_rescaled_form():
     # two printed forms of the same sum agree termwise
     t = 100.0
-    H, n_used, _ = h_series_info(t)
+    H, n_used, _ = h_r_series_info(t, 0)
     n = np.arange(1, n_used + 1, dtype=float)
     q = (t / (2.0 * math.pi * n * n)) ** 1.75
     terms = (np.exp(-1j * t * np.log(n)) * n ** -0.5 * 2.0 / (1.0 + q ** -2.0)
@@ -172,8 +172,8 @@ def test_h_decay_bound_grid():
 
 def test_truncation_soundness():
     for t in (1e3, 1e6):
-        v1, _, tail1 = h_series_info(t, SeriesTolerance(eps=1e-10))
-        v2, _, _ = h_series_info(t, SeriesTolerance(eps=1e-20))
+        v1, _, tail1 = h_r_series_info(t, 0, SeriesTolerance(eps=1e-10))
+        v2, _, _ = h_r_series_info(t, 0, SeriesTolerance(eps=1e-20))
         assert abs(v1 - v2) < tail1
 
 

@@ -15,8 +15,7 @@ from zline import (
     upper_incomplete_gamma,
     z_oracle,
     z_oracle_info,
-    zeta_em,
-    zeta_right,
+    zeta,
 )
 from zline import _angles, special
 
@@ -25,6 +24,7 @@ LN_GAMMA_4_10I = -6.662302539141383 + 17.926780947795681j
 ZETA_HALF = -1.4603545088095868
 ZETA_4_100I = 1.0513756504725632 - 0.013927563152725479j
 ABS_ZETA_HALF_100I = 2.6926970566644635
+ZETA_2_2E5I = 0.92573573005889747 + 0.10532582413523347j
 
 
 # ---------------------------------------------------------------- ln_gamma
@@ -57,43 +57,77 @@ def test_ln_gamma_recurrence():
         assert abs(lhs - rhs) < 1e-12
 
 
-# -------------------------------------------------------------- zeta_right
+# -------------------------------------------------------------------- zeta
 
 def test_zeta_right_even_integers():
-    assert abs(zeta_right(4.0 + 0j) - math.pi ** 4 / 90.0) < 1e-14
-    assert abs(zeta_right(2.0 + 0j) - math.pi ** 2 / 6.0) < 1e-14
+    assert abs(zeta(4.0 + 0j) - math.pi ** 4 / 90.0) < 1e-14
+    assert abs(zeta(2.0 + 0j) - math.pi ** 2 / 6.0) < 1e-14
 
 
 def test_zeta_right_complex_reference():
-    assert abs(zeta_right(4.0 + 100.0j) - ZETA_4_100I) < 1e-13
+    assert abs(zeta(4.0 + 100.0j) - ZETA_4_100I) < 1e-13
 
 
 def test_zeta_right_domain():
-    with pytest.raises(ValueError):
-        zeta_right(1.5 + 3.0j)
+    # from Re s = 2 on the height is not capped; left of it, it is
+    assert abs(zeta(2.0 + 2e5j) - ZETA_2_2E5I) <= 1e-15
+    with pytest.raises(ValueError, match="exceeds cap"):
+        zeta(np.array([4.0 + 2e5j, 1.99 + 2e5j]))
 
 
-def test_zeta_methods_agree_on_overlap():
-    # both evaluators are valid on Re s = 2 up to |Im s| = 1000
-    for im in (0.0, 1.0, 50.0, 300.0, 1000.0):
-        s = 2.0 + 1j * im
-        assert abs(zeta_right(s) - zeta_em(s)) < 1e-12
+@pytest.mark.parametrize("sigma, refs", [
+    # mpmath zeta at 30 digits, at t = 0, 100, 1000, 1e4 and 1e5
+    (0.55, (-1.67871955250587499 + 0.0j,
+            2.51768540599390968 - 0.0294268089425845079j,
+            0.511379697430339896 + 0.748334873918846211j,
+            -0.238327946466926996 - 0.269862274344643916j,
+            1.48318182414349722 + 4.47412210289532389j)),
+    (1.5, (2.61237534868548834 + 0.0j,
+           1.31025988167375217 - 0.067266335221653206j,
+           0.95554458130341149 - 0.0961324176515955107j,
+           0.800665107414076599 - 0.389382748900381331j,
+           1.28966396254801819 + 0.529561390599531251j)),
+    (2.0, (1.64493406684822644 + 0.0j,
+           1.19078040877521702 - 0.0538909593542604583j,
+           0.953262184346425154 - 0.110723107460599814j,
+           0.922315539900211074 - 0.258362555325381418j,
+           1.1538081908707154 + 0.32395211132348395j)),
+    (4.0, (1.08232323371113819 + 0.0j,
+           1.05137565047256318 - 0.0139275631527254789j,
+           0.980086457837628774 - 0.0453259472908467605j,
+           1.01090738260780553 - 0.0588951191950315201j,
+           1.02180981456880547 + 0.0665964262738743863j)),
+])
+def test_zeta_frozen_references(sigma, refs):
+    # within tol plus the roundoff of the sum: one ulp of each term's size
+    tol = 2.0 ** -52
+    for t, ref in zip((0.0, 100.0, 1000.0, 1e4, 1e5), refs):
+        n = np.arange(1, _angles.em_terms(sigma, t, tol) + 1)
+        roundoff = 2.0 ** -52 * float(np.sum(n ** -sigma))
+        assert abs(zeta(complex(sigma, t)) - ref) <= tol + roundoff, t
 
 
-# ----------------------------------------------------------------- zeta_em
+def test_em_terms():
+    # zeta's term count at sigma = 4 (one ulp) and the oracle's (2e-12)
+    assert _angles.em_terms(4.0, 0.0, 2.0 ** -52) == 64
+    assert _angles.em_terms(4.0, 1e4, 2.0 ** -52) == 4096
+    assert _angles.em_terms(4.0, 1e5, 2.0 ** -52) == 16384
+    assert _angles.em_terms(0.5, 100.0, 2e-12) == 256
+    assert _angles.em_terms(0.5, 500.0, 2e-12) == 1024
+
 
 def test_zeta_em_critical_line():
-    assert abs(zeta_em(0.5 + 0j) - ZETA_HALF) < 1e-12
-    assert abs(abs(zeta_em(0.5 + 100.0j)) - ABS_ZETA_HALF_100I) < 1e-10
+    assert abs(zeta(0.5 + 0j) - ZETA_HALF) < 1e-12
+    assert abs(abs(zeta(0.5 + 100.0j)) - ABS_ZETA_HALF_100I) < 1e-10
 
 
 def test_zeta_em_guards():
     with pytest.raises(ValueError):
-        zeta_em(1.0 + 0j)          # pole
+        zeta(1.0 + 0j)             # pole
     with pytest.raises(ValueError):
-        zeta_em(0.5 + 2e5j)        # above the height cap
+        zeta(0.5 + 2e5j)           # above the height cap
     with pytest.raises(ValueError):
-        zeta_em(0.0 + 5.0j)        # left of the validated half-plane
+        zeta(0.0 + 5.0j)           # left of the validated half-plane
 
 
 # ---------------------------------------------------------------- rs_theta
@@ -113,13 +147,13 @@ def test_rs_theta_domain():
 
 def test_rs_phase_makes_zeta_real():
     for t in (100.0, 1000.0):
-        rot = np.exp(1j * rs_theta(t)) * zeta_em(0.5 + 1j * t)
+        rot = np.exp(1j * rs_theta(t)) * zeta(0.5 + 1j * t)
         assert abs(rot.imag) <= 1e-9
 
 
 def test_realness_on_grid():
     for t in range(10, 501, 10):
-        rot = np.exp(1j * rs_theta(float(t))) * zeta_em(0.5 + 1j * t)
+        rot = np.exp(1j * rs_theta(float(t))) * zeta(0.5 + 1j * t)
         assert abs(rot.imag) <= 1e-8, f"t={t}"
 
 
@@ -187,6 +221,25 @@ def test_z_oracle_est_covers_large_t(t, ref):
     assert abs(value - ref) <= est
 
 
+@pytest.mark.parametrize("t, ref", [
+    # mpmath siegelz at 30 digits, at the top of a term bucket of the
+    # oracle's zeta (28.37 .. 258.93) and of the old rule N ~ 2t (31.9 ..
+    # 499.9): the Euler-Maclaurin truncation is largest there
+    (28.37, 2.62773984565655227),
+    (59.72, 0.427257308108912033),
+    (124.49, 0.627901407823644361),
+    (258.93, 0.652347931585880478),
+    (31.9, -0.899231036742900907),
+    (63.9, -3.1811918215728012),
+    (127.5, 0.0660208503160443563),
+    (255.5, 0.543243263918333828),
+    (499.9, 1.95758533139446058),
+])
+def test_z_oracle_est_at_term_bucket_edges(t, ref):
+    value, est = z_oracle_info(t)
+    assert abs(value - ref) <= est
+
+
 def test_z_oracle_main_sum_chunks(monkeypatch):
     # one chunk up to 2^20 terms (t ~ 6.9e12): bit-identical to the sum
     # of the whole main sum at once; above, the chunks hold memory flat
@@ -224,7 +277,7 @@ def test_rs_corrections_match_chebyshev_objects():
 
 
 def test_oracle_terms():
-    assert oracle_terms(10.0, 100.0) == 256       # zeta_em at 1/2 + 100i
+    assert oracle_terms(10.0, 100.0) == 256       # zeta at 1/2 + 100i, 2e-12
     assert oracle_terms(10.0, 1e5) == 1024        # its largest, at t <= 500
     assert oracle_terms(600.0, 1e5) == 126        # floor(sqrt(1e5 / 2 pi))
     assert oracle_terms(1e8, 1e8) == 3989
