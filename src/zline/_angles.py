@@ -7,24 +7,20 @@ reduction mod 2pi in double precision would cost ~1e-7 rad, visible in Z.
 So n_pow_minus_it forms and reduces the phase in numpy.longdouble (80-bit
 extended on x86-64) and converts only the reduced phase back to double;
 where longdouble is plain double the phase error is correspondingly larger.
-lattice_sums evaluates such a sum on a uniform lattice of t with one
-exact phase per block of nodes, and the nodes inside a block from a step
-matrix n^{-ijh} that depends only on the step h and the term count N.
-The last step matrix built is kept, read-only, for the next call with the
-same (h, N), as long as N <= RETAIN_TERMS (16384 terms, a 16 MB matrix);
-a larger one is built per call and kept by nobody.  An amplitude that
-does not depend on t (zeta's n^-s) is one row per block; one that moves
-with t through a shift d common to every n (the sech factor of H, where
-d = (7/4) log(t/c)) is K + 1 Taylor rows about the block's centre c, from
-sech_taylor, weighted per sample by d^k, with K from taylor_order; the
-constant row is K = 0.  The x-ray uses the same Taylor rows on its tiles.
-The callers keep their own amplitudes and summation, and the H sums their
-own term rules; this module also holds what their sums share: log 2pi,
-the longdouble theta, the power-of-two term bucket, the Euler-Maclaurin
-tail with zeta's one term rule (em_terms, from the first term the tail
-leaves out), the work budget of every points x terms sum, and
-RETAIN_TERMS, the largest term count whose tables (the step matrix here,
-n and log n in the zeta sums) are kept between calls.
+dirichlet_sums takes a caller's amplitudes and returns the sums of zeta
+and of the H grid.  Its samples on a uniform lattice of t go through
+lattice_sums, with one exact phase per block of nodes and the nodes inside
+a block from a step matrix n^{-ijh} that depends only on the step h and
+the term count N (an amplitude that moves with t, H's sech factor, as
+Taylor rows about the block's centre, from sech_taylor; the x-ray uses
+them on its tiles too).  The other samples are summed directly, in blocks
+of rows and terms under ROW_ELEMS elements.  This module also holds what
+the sums share: log 2pi, the longdouble theta, the power-of-two term
+bucket, the Euler-Maclaurin tail with zeta's one term rule (em_terms, from
+the first term the tail leaves out), the work budget of every points x
+terms sum, and the tables kept between calls, read-only, up to
+RETAIN_TERMS (16384) terms: the last step matrix (16 MB) and n with log n
+(terms); larger ones are built per call and kept by nobody.
 """
 from __future__ import annotations
 
@@ -51,6 +47,7 @@ _LATTICE_SLACK = 1e-9
 _LATTICE_MIN_ROWS = 16
 # largest B x terms step matrix (537 MB) the lattice route forms
 _LATTICE_MAX_ELEMS = 1 << 25
+_LATTICE_SLICE = 1 << 16  # samples per lattice_sums call, ~100 bytes each
 #: element budget (rows x terms) of one block of phase rows
 ROW_ELEMS = 1 << 20
 #: largest term count whose tables are kept between calls: the step
@@ -186,6 +183,25 @@ def taylor_sum(rows, d):
     return acc
 
 
+# n = 1..N and log_ld(n), per term count N
+_TERMS: dict = {}
+
+
+def terms(n_terms: int):
+    """(n, log_ld(n)) for n = 1..N, read-only, kept per N up to
+    RETAIN_TERMS; zeta and the x-ray count terms in powers of two, so all
+    that is kept stays under 1 MB."""
+    table = _TERMS.get(n_terms)
+    if table is None:
+        n = np.arange(1, n_terms + 1)
+        table = (n, log_ld(n))
+        for a in table:
+            a.flags.writeable = False
+        if n_terms <= RETAIN_TERMS:
+            _TERMS[n_terms] = table
+    return table
+
+
 # the last step matrix _step_matrix built, under its (h, N)
 _STEPS: dict = {}
 
@@ -227,21 +243,18 @@ def lattice_sums(x, amp, log_n, shift=None):
     """sum_n a_n(x) n^{-ix} for the samples of x that sit on a uniform
     lattice (Odlyzko-Schoenhage in its simplest form): (on, sums), where on
     marks the rows computed and sums holds them; the other rows are left to
-    the caller's direct route.
+    the direct route of dirichlet_sums.
 
     Calls of fewer than 2B samples (B = 64), or with a B x N step matrix
-    above 1 << 25 elements, compute nothing.  The step h
-    is read off the samples (their median spacing) and node k is
-    round(x/h).  Blocks of B nodes start where k is divisible by B, so a
-    node inside a full block lands at the same block position in every
-    call.  Each block's anchor phase n^{-ix_a} is formed exactly; the rows
-    inside it use n^{-ijh} from the step matrix of _step_matrix, which
-    needs log_n = log_ld(n) for n = 1..N and is kept for the next call
-    with the same h and N up to RETAIN_TERMS terms, and
-    the residual e = x - x_a - jh of a rounded lattice enters to first
-    order, n^{-ie} ~ 1 - ie log n, through a second product with the
-    anchor rows weighted by log n.  The products sum n from N down to 1,
-    smallest terms first.
+    above 1 << 25 elements, compute nothing.  The step h is read off the
+    samples (their median spacing) and node k is round(x/h).  Blocks of B
+    nodes start where k is divisible by B, so a node inside a full block
+    lands at the same block position in every call.  Each block's anchor
+    phase n^{-ix_a} is formed exactly; the rows inside it use n^{-ijh} from
+    the step matrix of _step_matrix, and the residual e = x - x_a - jh of
+    a rounded lattice enters to first order, n^{-ie} ~ 1 - ie log n,
+    through a second product with the anchor rows weighted by log n.  The
+    products sum n from N down to 1, smallest terms first.
 
     amp is either the amplitude row a_n, the same at every x (zeta), or,
     with shift, a function amp(c, K) of block centres c (M,) returning the
@@ -350,6 +363,33 @@ def lattice_sums(x, amp, log_n, shift=None):
             sums[r] = s
             on[r] = True
     return on, sums
+
+
+def dirichlet_sums(x, log_n, direct, amp=None, shift=None) -> np.ndarray:
+    """sum_n a_n(x) n^{-ix} at every sample of x, for log_n = log_ld(n),
+    n = 1..N.  Given amp (and shift) in the form lattice_sums takes, the
+    samples on a uniform lattice take that route, 65536 samples a call.
+    Every other sample is summed directly from direct(rows, part), the
+    amplitude a_n(x[rows]) for the n of the slice part, in blocks of rows
+    and terms under ROW_ELEMS elements: each row by numpy's pairwise sum,
+    and one of more than ROW_ELEMS terms in parts added in order of n.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    on = np.zeros(x.shape, dtype=bool)
+    if amp is not None:
+        for start in range(0, x.size, _LATTICE_SLICE):
+            part = slice(start, start + _LATTICE_SLICE)
+            on[part], out[part] = lattice_sums(x[part], amp, log_n, shift)
+    rest = np.flatnonzero(~on)
+    width = min(log_n.size, ROW_ELEMS)
+    for start in range(0, rest.size, ROW_ELEMS // width):
+        r = rest[start:start + ROW_ELEMS // width]
+        for n0 in range(0, log_n.size, width):
+            p = slice(n0, n0 + width)
+            piece = np.sum(direct(r, p) * n_pow_minus_it(x[r], log_n[p]), axis=1)
+            out[r] = piece if n0 == 0 else out[r] + piece
+    return out
 
 
 def vartheta_ld(t):

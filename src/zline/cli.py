@@ -283,6 +283,18 @@ def cmd_xray(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    """The type of every float flag: nan and inf are usage errors that
+    name the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zline",
@@ -290,10 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate Z(t) by one method")
-    p_eval.add_argument("--t", type=float, required=True)
+    p_eval.add_argument("--t", type=_finite, required=True)
     p_eval.add_argument("--method", choices=_METHODS, required=True)
-    p_eval.add_argument("--sigma", type=float, default=4.0)
-    p_eval.add_argument("--eps", type=float, default=1e-10,
+    p_eval.add_argument("--sigma", type=_finite, default=4.0)
+    p_eval.add_argument("--eps", type=_finite, default=1e-10,
                         help="target error in Z units, in (0, 1e-3]")
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
@@ -307,23 +319,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_scan = sub.add_parser("scan", help="zero scan with phase cross-check")
-    p_scan.add_argument("--from", dest="lo", type=float, required=True)
-    p_scan.add_argument("--to", dest="hi", type=float, required=True)
-    p_scan.add_argument("--step", type=float, default=0.05)
+    p_scan.add_argument("--from", dest="lo", type=_finite, required=True)
+    p_scan.add_argument("--to", dest="hi", type=_finite, required=True)
+    p_scan.add_argument("--step", type=_finite, default=0.05)
     p_scan.add_argument("--json", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
 
     p_hstat = sub.add_parser("hstat", help="normalized phase-decay statistic")
-    p_hstat.add_argument("--t", type=float, required=True)
-    p_hstat.add_argument("--step", type=float, default=0.05)
+    p_hstat.add_argument("--t", type=_finite, required=True)
+    p_hstat.add_argument("--step", type=_finite, default=0.05)
     p_hstat.add_argument("--json", action="store_true")
     p_hstat.set_defaults(func=cmd_hstat)
 
     p_xray = sub.add_parser("xray", help="sign grid over a complex rectangle")
-    p_xray.add_argument("--re0", type=float, required=True)
-    p_xray.add_argument("--re1", type=float, required=True)
-    p_xray.add_argument("--im0", type=float, required=True)
-    p_xray.add_argument("--im1", type=float, required=True)
+    p_xray.add_argument("--re0", type=_finite, required=True)
+    p_xray.add_argument("--re1", type=_finite, required=True)
+    p_xray.add_argument("--im0", type=_finite, required=True)
+    p_xray.add_argument("--im1", type=_finite, required=True)
     p_xray.add_argument("--n", type=int, default=400)
     p_xray.add_argument("--out", type=str, required=True)
     p_xray.set_defaults(func=cmd_xray)

@@ -200,11 +200,11 @@ def f_on_line(x, sigma: float = 4.0):
         # lattice stays one; the root of g is conjugated below the axis
         order = np.argsort(xx)
         order = order[(xx[order] != 0.0) | (abs(sigma - 1.0) >= 1e-9)]
-        x = xx[order]
-        z = zeta(sigma + 1j * x)
-        root = np.exp(0.5 * _log_g(sigma + 1j * np.abs(x)))
+        xs = xx[order]
+        z = zeta(sigma + 1j * xs)
+        root = np.exp(0.5 * _log_g(sigma + 1j * np.abs(xs)))
         out = np.full(xx.size, -math.sqrt(3.0), dtype=complex)
-        out[order] = np.where(x < 0.0, np.conj(root), root) * z
+        out[order] = np.where(xs < 0.0, np.conj(root), root) * z
     if np.ndim(x) == 0:
         return complex(out[0])
     return out
@@ -260,7 +260,8 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
 
     Used by the phase trackers: thousands of t values reuse a single
     evaluation of f on the step-h lattice h*k, whose zeta values take the
-    lattice route of _angles.lattice_sums.  Summation is numpy's pairwise
+    lattice route of _angles.dirichlet_sums (in slices of 65536 samples,
+    8192 in t).  Summation over the samples is numpy's pairwise
     reduction (deterministic for fixed shapes); the small loss of the fsum
     guarantee only perturbs tracked phases at the 1e-10 rad level.  Work
     over the budget, zeta's and then the kernel's, is refused.

@@ -434,7 +434,7 @@ def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
         by_terms[i0:i1, j0:j1] = True
     ii, jj = np.nonzero(by_terms)
     out = np.zeros(z.shape, dtype=complex)
-    log_n = _angles.log_ld(np.arange(1, n0 + 1))
+    log_n = _angles.terms(n0)[1]
     # n runs in chunks whose widest block of rows stays under ROW_ELEMS
     width = max([res.size, ims.size] + [s.shape[0] * s.shape[1] for s in acc])
     nc = max(1, _angles.ROW_ELEMS // width)

@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _N_CAP = 500_000  # term-count cap of one H_r series and of the H grid
-_GRID_SLICE = 1 << 16  # samples per lattice call of the H grid
 
 
 @dataclass(frozen=True)
@@ -217,15 +216,14 @@ def h_series_grid(ts) -> np.ndarray:
     """H(t) over an array of t > 0 at the default tolerance, sharing one
     term range (sized for the largest t); refused over the work budget.
 
-    Samples on a uniform lattice take _angles.lattice_sums with the
-    amplitude n^-4 sech(y_n) expanded about each block's centre c: y_n
-    moves by d = (7/4) log(t/c) for every n at once, so a block costs its
-    Taylor rows n^-4 sech^(k)(y_n(c))/k! and one exact anchor phase.  The
-    other samples (refinement points, short or scattered grids, and the
-    blocks near t ~ 1 where |d| is too large) are summed directly, in
-    row blocks of 1024.  Summation is a fixed-shape BLAS product or numpy's
-    pairwise reduction: deterministic, and the fsum guarantee of the scalar
-    route is not needed for tracking-grade phases.
+    One _angles.dirichlet_sums call, with the amplitude n^-4 sech(y_n):
+    on a uniform lattice as the Taylor rows n^-4 sech^(k)(y_n(c))/k! about
+    each block's centre c, since y_n moves by d = (7/4) log(t/c) for every
+    n at once; elsewhere (refinement points, short or scattered grids, the
+    blocks near t ~ 1 where |d| is too large) as the same rows at c = t,
+    order 0.  Summation is a fixed-shape BLAS product or numpy's pairwise
+    reduction: deterministic, and the fsum guarantee of the scalar route
+    is not needed for tracking-grade phases.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
@@ -235,32 +233,18 @@ def h_series_grid(ts) -> np.ndarray:
     n_terms = h_grid_terms(float(np.max(ts)), ts.size)
     n = np.arange(1, n_terms + 1, dtype=float)
     log_n = np.log(n)
-    log_n_ld = _angles.log_ld(n)
     inv_n4 = n ** -4.0
 
-    def taylor_rows(c, k_max):
-        y = 1.75 * (np.log(c)[:, None] - _angles.LOG_2PI - 2.0 * log_n[None, :])
-        return inv_n4 * _angles.sech_taylor(y, k_max)
+    def taylor_rows(c, k_max, part=slice(None)):
+        y = 1.75 * (np.log(c)[:, None] - _angles.LOG_2PI - 2.0 * log_n[part])
+        return inv_n4[part] * _angles.sech_taylor(y, k_max)
 
     def shift(t, c):
         return 1.75 * np.log1p((t - c) / c)
 
-    on = np.zeros(ts.size, dtype=bool)
-    out = np.empty(ts.size, dtype=complex)
-    # slices bound the lattice bookkeeping, ~100 bytes a sample
-    for start in range(0, ts.size, _GRID_SLICE):
-        part = slice(start, start + _GRID_SLICE)
-        on[part], out[part] = _angles.lattice_sums(ts[part], taylor_rows,
-                                                   log_n_ld, shift)
-    rest = np.flatnonzero(~on)
-    for start in range(0, rest.size, 1024):
-        r = rest[start:start + 1024]
-        tt = ts[r]
-        y = 1.75 * (np.log(tt)[:, None] - _angles.LOG_2PI - 2.0 * log_n[None, :])
-        amp = inv_n4[None, :] * _m_r(y, 0)
-        rows = amp * _angles.n_pow_minus_it(tt, log_n_ld)
-        out[r] = rows.sum(axis=1)
-    return out
+    return _angles.dirichlet_sums(
+        ts, _angles.log_ld(n), lambda r, part: taylor_rows(ts[r], 0, part)[0],
+        taylor_rows, shift)
 
 
 def z_approx(t: float, tol: SeriesTolerance | None = None,

@@ -95,49 +95,23 @@ def ln_gamma(z):
 # zeta by Euler-Maclaurin
 
 
-# n = 1..N and log_ld(n) of the zeta sums, per term count N
-_TERMS: dict = {}
-
-
-def _terms(n_terms: int):
-    """(n, log_ld(n)) for n = 1..N, read-only.  Kept per N up to
-    _angles.RETAIN_TERMS, built per call above; zeta counts terms in
-    powers of two, so all that is kept stays under 1 MB."""
-    table = _TERMS.get(n_terms)
-    if table is None:
-        n = np.arange(1, n_terms + 1)
-        table = (n, _angles.log_ld(n))
-        for a in table:
-            a.flags.writeable = False
-        if n_terms <= _angles.RETAIN_TERMS:
-            _TERMS[n_terms] = table
-    return table
-
-
 def _zeta_em_core(s, n_terms: int):
-    """Euler-Maclaurin zeta for an array of s with common term count:
-    the sum over n <= N plus the Euler-Maclaurin tail.
-
-    With one Re s for the whole call, the rows on a uniform lattice in
-    Im s take the lattice route of _angles.lattice_sums; every other row
-    sums its N terms directly, in row blocks under a fixed element budget.
-    Calls over _angles.WORK_BUDGET are refused before they allocate.
+    """Euler-Maclaurin zeta for an array of s with common term count: the
+    sum over n <= N by _angles.dirichlet_sums, plus the tail.  With one
+    Re s for the whole call (and two samples or more), the rows on a
+    uniform lattice in Im s take the lattice route with the row n^-s; the
+    others form n^-Re(s) per row (a 1-D power need not round as the
+    broadcast one does).  Calls over _angles.WORK_BUDGET are refused
+    before they allocate.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     _angles.check_work(s.size, n_terms)
-    n, log_n = _terms(n_terms)
-    out = np.empty(s.shape, dtype=complex)
-    rest = np.arange(s.size)
-    if s.size and np.all(s.real == s.real[0]):
-        on, sums = _angles.lattice_sums(s.imag, n ** -s.real[0], log_n)
-        out[on] = sums[on]
-        rest = rest[~on]
-    block = max(1, _angles.ROW_ELEMS // n_terms)
-    for start in range(0, rest.size, block):
-        r = rest[start:start + block]
-        amp = n[None, :] ** (-s.real[r, None])
-        out[r] = np.sum(amp * _angles.n_pow_minus_it(s.imag[r], log_n), axis=1)
-    return out + _angles.em_tail(s, n_terms)
+    n, log_n = _angles.terms(n_terms)
+    sigma = s.real
+    row = n ** -sigma[0] if s.size > 1 and np.all(sigma == sigma[0]) else None
+    sums = _angles.dirichlet_sums(
+        s.imag, log_n, lambda r, part: n[None, part] ** (-sigma[r, None]), row)
+    return sums + _angles.em_tail(s, n_terms)
 
 
 def zeta(s, tol: float = 2.0 ** -52):

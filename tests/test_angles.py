@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zline import ConvergenceError, _angles, quad, zeta
-from zline.special import _terms, _zeta_em_core
+from zline.special import _zeta_em_core
 
 _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
 _TS = (1e3, 1e6, 1e8 + 0.123)
@@ -122,10 +122,31 @@ def test_lattice_shared_nodes_bit_identical(monkeypatch, t):
     4.0 + 1j * (100.0 + 0.125 * np.arange(127)),
     # Re s varies along the call
     np.where(np.arange(300) % 2, 2.5, 4.0) + 1j * (100.0 + 0.125 * np.arange(300)),
+    # scattered at Re s = 1, where the 1-D power n ** -1.0 of a lattice row
+    # differs from the per-row broadcast power in 6.5 % of the elements
+    1.0 + 1j * np.sort(np.random.default_rng(5).uniform(50.0, 900.0, 300)),
 ])
 def test_off_lattice_rows_keep_the_direct_route(s):
     assert np.array_equal(_zeta_em_core(s, 1024),
                           _direct(s, 1024) + _angles.em_tail(s, 1024))
+
+
+def test_direct_rows_are_blocked_over_terms(monkeypatch):
+    # one off-lattice row of 16384 terms (its n and log n tables are kept)
+    # under an element budget of 1024: it is summed in 16 parts, so its
+    # temporaries are those of a part (60 kB; 790 kB for the whole row),
+    # and its value is the whole row's within rounding
+    s = np.array([4.0 + 12345.678j])
+    whole = _zeta_em_core(s, 16384)
+    monkeypatch.setattr(_angles, "ROW_ELEMS", 1024)
+    tracemalloc.start()
+    try:
+        parts = _zeta_em_core(s, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 10
+    assert abs(parts[0] - whole[0]) <= 4.4e-16 * zeta(4.0)
 
 
 def test_step_matrix_row_blocks_bit_identical(monkeypatch):
@@ -155,7 +176,7 @@ def test_step_matrix_keeps_the_last():
 def test_kept_tables_are_read_only():
     _zeta_em_core(4.0 + 1j * (100.0 + 0.125 * np.arange(256)), 1024)
     (steps,) = _angles._STEPS.values()
-    for table in (steps,) + _terms(1024):
+    for table in (steps,) + _angles.terms(1024):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
 

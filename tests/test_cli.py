@@ -162,6 +162,27 @@ def test_hstat_over_budget_is_numerical_failure(capsys):
     assert "525 terms = 3.15e+09" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hstat", "--t", "nan"),
+    ("hstat", "--t", "inf"),
+    ("eval", "--t", "inf", "--method", "oracle"),
+    ("eval", "--t", "nan", "--method", "oracle"),
+    ("eval", "--t", "nan", "--method", "integral"),
+    ("eval", "--t", "nan", "--method", "approx"),
+    ("eval", "--t", "inf", "--method", "approx"),
+    ("xray", "--re0", "1", "--re1", "inf", "--im0", "-1", "--im1", "1",
+     "--out", "/dev/null"),
+])
+def test_non_finite_float_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    flag = argv[argv.index(next(a for a in argv if a in ("nan", "inf"))) - 1]
+    assert out == ""
+    assert f"argument {flag}: invalid finite float value" in err
+
+
 def test_eval_bad_method_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--t", "10", "--method", "bogus"])

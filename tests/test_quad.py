@@ -138,6 +138,15 @@ def test_f_on_line_at_real_axis(sigma, ref):
     assert abs(f_on_line(0.0, sigma=sigma) - ref) <= 1e-15
 
 
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 4.0, 4.5])
+def test_f_on_line_scalar_in_scalar_out(sigma):
+    # a scalar x gives a Python complex on every line, as sigma = 4 does
+    for x in (0.0, 10.0, -3.5):
+        v = f_on_line(x, sigma)
+        assert type(v) is complex
+        assert v == f_on_line(np.array([x]), sigma)[0]
+
+
 def test_f_on_line_domain():
     for sigma in (0.5, 3.0, 5.0):
         with pytest.raises(ValueError):

@@ -1,0 +1,109 @@
+"""Byte identity of the zline command line across two checkouts.
+
+    python tools/cli_identity.py [--root DIR] [--full] > digests.txt
+
+Runs a fixed set of zline commands from the checkout at DIR (by default
+the one holding this script), one process per command, and prints for
+each its exit code, the sha256 of its stdout and its argv, and after an
+xray command the sha256 of the CSV it wrote ("none" if it wrote none).
+With --full each command's stdout follows its line, indented, so that a
+moved JSON value shows in the comparison.  Run it on both checkouts and
+compare the two outputs with diff.  The whole set takes a few minutes on
+two cores; it is not part of the test suite.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_XRAY_BOXES = (
+    ("10000", "10020", "-2", "4", "40"),
+    ("100", "120", "-2", "4", "30"),
+    ("7e6", "7.00001e6", "-1", "1", "3"),       # refused: exit 3
+    ("1000", "1010", "-2", "4", "40"),
+)
+
+
+def _eval(t, method, *extra):
+    return ("eval", "--t", t, "--method", method) + extra
+
+
+def commands() -> list:
+    """The argv of every command, in run order."""
+    cmds = [_eval(t, "oracle") for t in
+            ("0", "10", "100", "499.9", "500.1", "600", "1000", "1600", "1e4",
+             "1e6", "1e8", "1e10", "1e12")]
+    cmds += [_eval(t, "oracle", "--json") for t in ("600", "1000", "1600", "1e8")]
+    cmds += [_eval(t, "approx") for t in ("10", "100", "1e4", "1e7", "72015150.94")]
+    cmds += [_eval("1e4", "approx", "--json")]
+    cmds += [_eval(t, "g") for t in ("20", "100", "1000", "1e5", "1e7")]
+    cmds += [_eval("30", "g", "--json")]
+    cmds += [_eval(t, "integral")
+             for t in ("0", "10", "50", "100", "1000", "2500", "1e5")]
+    cmds += [_eval("40", "integral", "--json"), _eval("100", "integral", "--eps", "1e-3")]
+    off_four = (("1.5", ("0", "100", "300", "3000")), ("2.5", ("200", "1000")),
+                ("4.5", ("0", "300", "450")), ("1.0", ("0", "50")),
+                ("1.2", ("50", "300")), ("2.0", ("20",)), ("3.5", ("100",)))
+    cmds += [_eval(t, "integral", "--sigma", sigma)
+             for sigma, ts in off_four for t in ts]
+    cmds += [_eval(t, "integral", "--sigma", sigma, "--json") for sigma, t in
+             (("2.5", "200"), ("1.5", "100"), ("1.2", "50"), ("1.0", "50"),
+              ("4.5", "300"))]
+    cmds += [("table",), ("table", "--json"), ("table", "--csv"),
+             ("table", "--rows", "10,1e8")]
+    scans = (("10", "30"), ("10", "30", "--json"), ("50", "60", "--json"),
+             ("274", "284", "--step", "0.025"), ("400", "430"), ("14.2", "20.9"),
+             ("10.001", "20.001"), ("1590", "1600"))
+    cmds += [("scan", "--from", a, "--to", b, *rest) for a, b, *rest in scans]
+    cmds += [("hstat", "--t", "1000"), ("hstat", "--t", "150", "--json"),
+             ("hstat", "--t", "2745.3"), ("hstat", "--t", "4321", "--json")]
+    cmds += [("xray", "--re0", r0, "--re1", r1, "--im0", i0, "--im1", i1, "--n", n)
+             for r0, r1, i0, i1, n in _XRAY_BOXES]
+    # refusals and usage errors
+    cmds += [_eval("1e20", "oracle"),
+             ("scan", "--from", "10", "--to", "1e5", "--step", "1e-9"),
+             _eval("10", "bogus"),
+             ("hstat", "--t", "nan"), ("hstat", "--t", "inf"),
+             _eval("inf", "oracle"), _eval("nan", "oracle"), _eval("nan", "approx"),
+             ("xray", "--re0", "1", "--re1", "inf", "--im0", "-1", "--im1", "1")]
+    return cmds
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/ is run")
+    parser.add_argument("--full", action="store_true",
+                        help="print each command's stdout under its digest")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    launch = [sys.executable, "-c",
+              "import sys; from zline.cli import main; sys.exit(main())"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, cmd in enumerate(commands()):
+            csv = Path(tmp) / f"xray_{k}.csv"
+            argv_k = list(cmd) + (["--out", str(csv)] if cmd[0] == "xray" else [])
+            proc = subprocess.run(launch + argv_k, env=env, capture_output=True)
+            # the CSV path is the one part of stdout that names the run's directory
+            out = proc.stdout.replace(str(csv).encode(), b"OUT")
+            print(proc.returncode, _digest(out), " ".join(cmd), flush=True)
+            if args.full:
+                for line in out.decode().splitlines():
+                    print("   ", line)
+            if cmd[0] == "xray":
+                print("  csv", _digest(csv.read_bytes()) if csv.exists() else "none")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
