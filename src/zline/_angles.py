@@ -190,11 +190,15 @@ _TERMS: dict = {}
 def terms(n_terms: int):
     """(n, log_ld(n)) for n = 1..N, read-only, kept per N up to
     RETAIN_TERMS; zeta and the x-ray count terms in powers of two, so all
-    that is kept stays under 1 MB."""
+    that is kept stays under 1 MB.  log n is formed in parts of ROW_ELEMS,
+    so no longdouble copy of the whole of n exists."""
     table = _TERMS.get(n_terms)
     if table is None:
         n = np.arange(1, n_terms + 1)
-        table = (n, log_ld(n))
+        log_n = np.empty(n_terms, dtype=np.longdouble)
+        for k in range(0, n_terms, ROW_ELEMS):
+            np.log(as_ld(n[k:k + ROW_ELEMS]), out=log_n[k:k + ROW_ELEMS])
+        table = (n, log_n)
         for a in table:
             a.flags.writeable = False
         if n_terms <= RETAIN_TERMS:

@@ -7,9 +7,14 @@ Subcommands:
   hstat  the normalized phase-decay statistic of the series evaluator
   xray   sign grid of the series evaluator over a complex rectangle
 
-All output is deterministic: fixed 7-decimal formatting in text modes,
-shortest-round-trip floats in JSON, LF line endings.  Exit codes:
-0 success, 2 usage error, 3 numerical failure.
+Each subcommand checks its flags, calls the library and prints what it
+returns.  The eval methods are z_oracle_info, z_from_integral, z_approx
+and z_g, each returning (value, est) in Z units; table prints those of
+z_oracle_info and z_approx.  All output is deterministic: fixed 7-decimal
+formatting in text modes, shortest-round-trip floats in JSON, LF line
+endings.  Exit codes: 0 success, 2 usage error (a bad flag, or a
+ValueError from the library), 3 numerical failure (ConvergenceError or
+PhaseTrackError), mapped once in main.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ from dataclasses import dataclass
 
 from . import __version__, _angles
 from .errors import ConvergenceError, PhaseTrackError
-from .phase import rho0, theta, theta_mod_2pi
-from .quad import QuadratureConfig, f_integral
+from .quad import QuadratureConfig, z_from_integral
 from .scan import c_statistic_profile, phase_count_check, xray_grid
-from .series import SeriesTolerance, g_series, h_series
+from .series import z_approx, z_g
 from .special import z_oracle_info
 
 __all__ = ["OutputRecord", "main"]
@@ -59,51 +63,15 @@ class OutputRecord:
                 raise ValueError(f"non-finite field {name!r}")
 
 
-def _denominator(t: float) -> float:
-    return math.sqrt(0.25 + t * t) * math.sqrt(6.25 + t * t)
-
-
-def _series_tol(t: float, eps_z: float) -> SeriesTolerance:
-    # eps is stated in Z units; the series runs before the (t/2pi)^(7/4)
-    # prefactor, so scale it down accordingly
-    return SeriesTolerance(eps=eps_z * (2.0 * math.pi / t) ** 1.75)
-
-
-def _series_est(t: float, eps_z: float, value: float, amp: float) -> float:
-    """est of a series route in Z units: tail target, summation roundoff,
-    and the longdouble rounding of theta(t) (6e8 rad at t = 7e7), which
-    moves Z by up to one ulp of theta times amp >= |dZ/dtheta|."""
-    return eps_z + 1e-12 * (1.0 + abs(value)) + _angles.ld_ulp(theta(t)) * amp
-
-
-def _approx(t: float, eps_z: float) -> tuple[float, float]:
-    """z_approx(t) and its est from one sum of H: the value is z_approx's
-    expression, bit for bit, and amp = (t/2pi)^(7/4) |H|."""
-    ph = theta_mod_2pi(t)
-    h = h_series(t, _series_tol(t, eps_z))
-    scale = (t / (2.0 * math.pi)) ** 1.75
-    value = scale * (math.cos(ph) * h.real - math.sin(ph) * h.imag)
-    return value, _series_est(t, eps_z, value, scale * abs(h))
-
-
 def _eval_record(t: float, method: str, sigma: float, eps: float) -> OutputRecord:
     if method == "oracle":
         value, est = z_oracle_info(t)
     elif method == "integral":
-        cfg = QuadratureConfig(tail_eps=eps)
-        f = f_integral(t, sigma, cfg)
-        den = _denominator(t)
-        value = f.real / den
-        # the roundoff term scales with rho0, which is 0 at t = 0
-        roundoff = 5e-15 * rho0(t) if t > 0.0 else 0.0
-        est = (2.0 * eps + roundoff) / den + 1e-14
+        value, est = z_from_integral(t, sigma, QuadratureConfig(tail_eps=eps))
     elif method == "approx":
-        value, est = _approx(t, eps)
+        value, est = z_approx(t, eps)
     else:
-        zg = g_series(t, _series_tol(t, eps))
-        den = _denominator(t)
-        value = zg.real / den
-        est = _series_est(t, eps, value, abs(zg) / den)
+        value, est = z_g(t, eps)
     return OutputRecord(t, method, float(value), float(est))
 
 
@@ -133,12 +101,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _usage_error("--sigma must lie in (0.5, 5) excluding 3")
     if not 0.0 < eps <= _EPS_MAX:
         return _usage_error(f"--eps must lie in (0, {_EPS_MAX:g}]")
-    try:
-        record = _eval_record(t, args.method, sigma, eps)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    except ConvergenceError as exc:
-        return _numerical_error(str(exc))
+    record = _eval_record(t, args.method, sigma, eps)
     if args.json:
         flags = {"t": t, "method": args.method, "sigma": sigma, "eps": eps}
         _print_json("eval", flags, {"rows": [
@@ -173,18 +136,11 @@ def _parse_rows(spec: str):
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    try:
-        ts = _parse_rows(args.rows)
-    except ValueError as exc:
-        return _usage_error(str(exc))
     rows = []
     worst = 0.0
-    for t in ts:
-        try:
-            zv, z_est = z_oracle_info(t)
-            za, a_est = _approx(t, _TABLE_EPS_Z)
-        except ConvergenceError as exc:
-            return _numerical_error(str(exc))
+    for t in _parse_rows(args.rows):
+        zv, z_est = z_oracle_info(t)
+        za, a_est = z_approx(t, _TABLE_EPS_Z)
         worst = max(worst, z_est, a_est)
         rows.append((t, zv, z_est, za, a_est, abs(zv - za)))
     if args.json:
@@ -214,10 +170,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return _usage_error("need 10 <= from < to <= 1e5")
     if not 0.0 < step <= 0.25:
         return _usage_error("--step must lie in (0, 0.25]")
-    try:
-        rep = phase_count_check(lo, hi, step)
-    except (ConvergenceError, PhaseTrackError) as exc:
-        return _numerical_error(str(exc))
+    rep = phase_count_check(lo, hi, step)
     verdict = "pass" if rep.verdict else "fail"
     if args.json:
         flags = {"from": lo, "to": hi, "step": step}
@@ -247,10 +200,7 @@ def cmd_hstat(args: argparse.Namespace) -> int:
         return _usage_error("--t must be at least 100")
     if not 0.0 < step <= 0.25:
         return _usage_error("--step must lie in (0, 0.25]")
-    try:
-        c = float(c_statistic_profile([t], step)[0])
-    except (ConvergenceError, PhaseTrackError) as exc:
-        return _numerical_error(str(exc))
+    c = float(c_statistic_profile([t], step)[0])
     scale = 0.5 * t * (math.log(t) - _angles.LOG_2PI) - 0.5 * t
     phase_end = -c * scale
     if args.json:
@@ -268,12 +218,7 @@ def cmd_xray(args: argparse.Namespace) -> int:
     re0, re1 = float(args.re0), float(args.re1)
     im0, im1 = float(args.im0), float(args.im1)
     n = int(args.n)
-    try:
-        grid = xray_grid(re0, re1, im0, im1, n, n)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    except ConvergenceError as exc:
-        return _numerical_error(str(exc))
+    grid = xray_grid(re0, re1, im0, im1, n, n)
     with open(args.out, "w", newline="\n") as handle:
         handle.write("re,im,sgn_re_H,sgn_im_H\n")
         for re, im, sre, sim in grid.rows():
@@ -345,7 +290,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    except (ConvergenceError, PhaseTrackError) as exc:
+        return _numerical_error(str(exc))
 
 
 if __name__ == "__main__":

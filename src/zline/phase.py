@@ -4,8 +4,9 @@ h is the smooth factor relating the integrand on the line Re s = 4 to the
 zeta function there: f(4+ix) = h(x) zeta(4+ix).  This module evaluates h
 exactly from a sum of principal logarithms (overflow-safe for |x| up to
 ~1e8), the asymptotic expansions of log rho and of the continuous phase
-alpha, and the truncated large-t functions theta(t), rho0(t) and the
-correction polynomial L1(x,t) used by the staged approximations.
+alpha, the truncated large-t functions theta(t), rho0(t) and the
+correction polynomial L1(x,t) used by the staged approximations, and the
+denominator that turns Re F(t) into Z(t).
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ __all__ = [
     "theta",
     "theta_mod_2pi",
     "rho0",
+    "z_denominator",
     "l1",
 ]
 
@@ -186,6 +188,12 @@ def rho0(t):
         raise ValueError("rho0 requires t > 0")
     out = (2.0 * math.pi) ** -1.75 * t ** 1.75 * (19.0 + t * t)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def z_denominator(t: float) -> float:
+    """sqrt(1/4 + t^2) sqrt(25/4 + t^2): Z(t) is Re F(t) over it, for the
+    line integral F and for its series route G alike."""
+    return math.sqrt(0.25 + t * t) * math.sqrt(6.25 + t * t)
 
 
 def l1(x, t: float):

@@ -3,7 +3,7 @@
 Implements the exact representation
 
     F(t) = integral f(sigma+ix) * kernel(x - t, width 2*sigma-1) dx,
-    Z(t) = Re F(t) / (sqrt(1/4+t^2) * sqrt(25/4+t^2))   (sigma = 4),
+    Z(t) = Re F(t) / (sqrt(1/4+t^2) * sqrt(25/4+t^2))   (any sigma),
 
 the general strip Poisson solver for harmonic functions with exponentially
 bounded boundary data, and the staged approximations F1..F4 that bridge the
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _angles
 from .errors import ConvergenceError
-from .phase import h_exact, l1, rho0, theta, theta_mod_2pi
+from .phase import h_exact, l1, rho0, theta, theta_mod_2pi, z_denominator
 from .special import ln_gamma, zeta
 
 __all__ = [
@@ -187,11 +187,11 @@ def f_on_line(x, sigma: float = 4.0):
     on Im s > 0 (see _log_g) and conjugated for x < 0, so no sign is left
     to fix.  At s = 1, where (1-s) cos(pi s/2) zeta(s)^2 is 0 * inf, f
     takes its limit -sqrt 3.  zeta is evaluated at the given abscissae
-    only.  Scalars or arrays; f(sigma-ix) = conj f(sigma+ix).
+    only.  Scalars or arrays of any shape; f(sigma-ix) = conj f(sigma+ix).
     """
     if not 0.5 < sigma < 5.0 or abs(sigma - 3.0) < 1e-9:
         raise ValueError("sigma must lie in (1/2, 5) excluding 3")
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    xx = np.asarray(x, dtype=float).ravel()
     if sigma == 4.0:
         z = zeta(4.0 + 1j * xx)  # over the work budget: refused before h
         out = h_exact(xx) * z
@@ -207,7 +207,7 @@ def f_on_line(x, sigma: float = 4.0):
         out[order] = np.where(xs < 0.0, np.conj(root), root) * z
     if np.ndim(x) == 0:
         return complex(out[0])
-    return out
+    return out.reshape(np.shape(x))
 
 
 # ----------------------------------------------------------------------
@@ -249,10 +249,17 @@ def f_integral(t: float, sigma: float = 4.0,
     return _trapz_fsum(y, xs)
 
 
-def z_from_integral(t: float) -> float:
-    """Z(t) recovered exactly from the line integral at sigma = 4."""
-    f = f_integral(t)
-    return f.real / (math.sqrt(0.25 + t * t) * math.sqrt(6.25 + t * t))
+def z_from_integral(t: float, sigma: float = 4.0,
+                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
+    """Z(t) = Re F(t) / z_denominator(t) at sigma, and its est: two tails of
+    cfg.tail_eps and the trapezoid's _STEP_TOL of rho0(t) (the scale of F)
+    over the denominator, plus 1e-14 for the division."""
+    cfg = cfg or _DEFAULT_CFG
+    f = f_integral(t, sigma, cfg)
+    den = z_denominator(t)
+    # the roundoff term scales with rho0, which is 0 at t = 0
+    roundoff = _STEP_TOL * rho0(abs(t)) if t else 0.0
+    return f.real / den, (2.0 * cfg.tail_eps + roundoff) / den + 1e-14
 
 
 def f_integral_grid(ts: np.ndarray) -> np.ndarray:

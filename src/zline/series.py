@@ -11,9 +11,11 @@ termwise under the moment integral gives
     y_n = (7/4) log(t / (2 pi n^2)),
 
 where m_r is the sech derivative factor above.  The leading series H = H_0
-drives the approximation Z(t) ~ (t/2pi)^{7/4} Re{e^{i theta(t)} H(t)}, and
-g_series assembles the full bracket of H_0..H_4 that mirrors the L1
-polynomial of the staged integrals.
+drives the approximation Z(t) ~ (t/2pi)^{7/4} Re{e^{i theta(t)} H(t)}
+(z_approx), and g_series assembles the full bracket G of H_0..H_4 that
+mirrors the L1 polynomial of the staged integrals; z_g is Re G over the
+denominator of Z.  The two Z routes take their tail target and return
+their est in Z units.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import _angles
 from .errors import ConvergenceError
-from .phase import rho0, theta_mod_2pi
+from .phase import rho0, theta, theta_mod_2pi, z_denominator
 
 __all__ = [
     "EulerianB",
@@ -38,6 +40,7 @@ __all__ = [
     "h_series_grid",
     "z_approx",
     "g_series",
+    "z_g",
 ]
 
 _N_CAP = 500_000  # term-count cap of one H_r series and of the H grid
@@ -145,17 +148,20 @@ def _tail_const(r: int) -> float:
     return float(np.max(g)) * 1.001
 
 
-def _tail_bound(t: float, r: int, n_terms: int) -> float:
-    """2 C_r (7/2)^r (t/2pi)^{7/4} sum_{n>N} n^{-15/2}, the sum bounded by
-    its integral N^{-13/2}/6.5."""
-    lead = 2.0 * _tail_const(r) * 3.5 ** r * (t / (2.0 * math.pi)) ** 1.75
-    return lead * n_terms ** -6.5 / 6.5
+def _log_lead(t: float, r: int) -> float:
+    """log of lead = 2 C_r (7/2)^r (t/2pi)^{7/4}: the tail bound of N terms
+    is lead sum_{n>N} n^{-15/2} <= lead N^{-13/2}/6.5 (by its integral)."""
+    return math.log(2.0 * _tail_const(r) * 3.5 ** r) + 1.75 * math.log(t / (2.0 * math.pi))
 
 
-def _n_terms(t: float, r: int, tol: SeriesTolerance) -> int:
-    """Smallest N whose tail bound is below tol.eps."""
-    lead = 2.0 * _tail_const(r) * 3.5 ** r * (t / (2.0 * math.pi)) ** 1.75
-    return max(math.ceil((lead / (6.5 * tol.eps)) ** (2.0 / 13.0)), 1)
+def _n_terms(t: float, r: int, log_eps: float, what: str) -> int:
+    """Smallest N whose tail bound is below e^log_eps, in logs so that it is
+    finite at every t; refused (ConvergenceError, naming `what`) above the cap."""
+    n_terms = max(math.ceil(math.exp((_log_lead(t, r) - math.log(6.5) - log_eps)
+                                     * (2.0 / 13.0))), 1)
+    if n_terms > _N_CAP:
+        raise ConvergenceError(f"{what} needs {n_terms:.3g} terms, above the cap {_N_CAP}")
+    return n_terms
 
 
 def h_r_series_info(t: float, r: int,
@@ -167,10 +173,7 @@ def h_r_series_info(t: float, r: int,
         raise ValueError("h_r_series requires t > 0")
     if not 0 <= r <= 8:
         raise ValueError("h_r_series supports 0 <= r <= 8")
-    n_terms = _n_terms(t, r, tol)
-    if n_terms > _N_CAP:
-        raise ConvergenceError(
-            f"H_{r}({t:g}) needs {n_terms} terms, above the cap {_N_CAP}")
+    n_terms = _n_terms(t, r, math.log(tol.eps), f"H_{r}({t:g})")
     n = np.arange(1, n_terms + 1, dtype=float)
     # cancellation-free form of y_n = (7/4) log(t/(2 pi n^2))
     y = 1.75 * (math.log(t) - _angles.LOG_2PI - 2.0 * np.log(n))
@@ -178,7 +181,7 @@ def h_r_series_info(t: float, r: int,
     # fsum straight from a memoryview: no list of N Python floats
     value = (3.5j) ** r * complex(math.fsum(memoryview(terms.real)),
                                   math.fsum(memoryview(terms.imag)))
-    return value, n_terms, _tail_bound(t, r, n_terms)
+    return value, n_terms, math.exp(_log_lead(t, r) - 6.5 * math.log(n_terms)) / 6.5
 
 
 def h_r_series(t: float, r: int, tol: SeriesTolerance | None = None) -> complex:
@@ -204,10 +207,7 @@ def h_grid_terms(t_max: float, points: int) -> int:
     """Term count of an H grid whose largest t is t_max; refuses
     (ConvergenceError) a count above the cap, or `points` points of it
     above the work budget, before anything is allocated."""
-    n_terms = _n_terms(t_max, 0, _DEFAULT_TOL)
-    if n_terms > _N_CAP:
-        raise ConvergenceError(
-            f"H grid needs {n_terms} terms, above the cap {_N_CAP}")
+    n_terms = _n_terms(t_max, 0, math.log(_DEFAULT_TOL.eps), "H grid")
     _angles.check_work(points, n_terms)
     return n_terms
 
@@ -247,25 +247,34 @@ def h_series_grid(ts) -> np.ndarray:
         taylor_rows, shift)
 
 
-def z_approx(t: float, tol: SeriesTolerance | None = None,
-             phase: str = "theta") -> float:
-    """(t/2pi)^{7/4} Re{e^{i phase} H(t)}, the series approximation to Z(t).
+def _h_tolerance(t: float, eps: float) -> SeriesTolerance:
+    """The tolerance of H for a target eps in Z units, scaled by the
+    (t/2pi)^{-7/4} the series runs before; refused first over H_0's cap,
+    so that the scaled target never underflows (it would near t = 1e200)."""
+    if not 0.0 < eps <= 1e-3:
+        raise ValueError("eps must be in (0, 1e-3]")
+    _n_terms(t, 0, math.log(eps) - 1.75 * math.log(t / (2.0 * math.pi)), f"H_0({t:g})")
+    return SeriesTolerance(eps=eps * (2.0 * math.pi / t) ** 1.75)
 
-    phase "theta" is the consolidated phase (the convention the value table
-    follows); "vartheta" substitutes the classical Riemann-Siegel theta,
-    which differs by 2pi + O(1/t) and so agrees only asymptotically.
-    """
+
+def _series_est(t: float, eps: float, value: float, amp: float) -> float:
+    """est of a series route in Z units: tail target, summation roundoff,
+    and the longdouble rounding of theta(t) (6e8 rad at t = 7e7), which
+    moves Z by up to one ulp of theta times amp >= |dZ/dtheta|."""
+    return eps + 1e-12 * (1.0 + abs(value)) + _angles.ld_ulp(theta(t)) * amp
+
+
+def z_approx(t: float, eps: float = 1e-10) -> tuple[float, float]:
+    """(t/2pi)^{7/4} Re{e^{i theta(t)} H(t)}, the series approximation to
+    Z(t), and its est, for a tail target eps; all three in Z units.  One
+    sum of H gives both: the est takes amp = (t/2pi)^{7/4} |H|."""
     if t < 10.0:
         raise ValueError("z_approx requires t >= 10")
-    if phase == "theta":
-        ph = theta_mod_2pi(t)
-    elif phase == "vartheta":
-        ph = float(_angles.reduce_mod_2pi(_angles.vartheta_ld(t)))
-    else:
-        raise ValueError("phase must be 'theta' or 'vartheta'")
-    h = h_series(t, tol)
-    return (t / (2.0 * math.pi)) ** 1.75 * (
-        math.cos(ph) * h.real - math.sin(ph) * h.imag)
+    ph = theta_mod_2pi(t)
+    h = h_series(t, _h_tolerance(t, eps))
+    scale = (t / (2.0 * math.pi)) ** 1.75
+    value = scale * (math.cos(ph) * h.real - math.sin(ph) * h.imag)
+    return value, _series_est(t, eps, value, scale * abs(h))
 
 
 def g_series(t: float, tol: SeriesTolerance | None = None) -> complex:
@@ -297,3 +306,15 @@ def g_series(t: float, tol: SeriesTolerance | None = None) -> complex:
                + 41j * h[3] / (48.0 * t2) - h[4] / (32.0 * t2))
     ph = theta_mod_2pi(t)
     return rho0(t) * complex(math.cos(ph), math.sin(ph)) * bracket
+
+
+def z_g(t: float, eps: float = 1e-10) -> tuple[float, float]:
+    """Re G(t) / z_denominator(t), the series route to Z through G =
+    g_series(t), and its est, for a tail target eps; all three in Z
+    units."""
+    if t < 20.0:
+        raise ValueError("z_g requires t >= 20")
+    zg = g_series(t, _h_tolerance(t, eps))
+    den = z_denominator(t)
+    value = zg.real / den
+    return value, _series_est(t, eps, value, abs(zg) / den)

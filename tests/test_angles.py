@@ -181,6 +181,27 @@ def test_kept_tables_are_read_only():
             table[0] = 0
 
 
+def test_terms_forms_log_n_in_parts():
+    # n (int64) and log n (longdouble) are kept, 24 bytes a term; log n is
+    # formed in parts of ROW_ELEMS, so a longdouble copy of n takes 16
+    # bytes a term of one part, not of all (40 bytes a term when whole)
+    n_terms = 1 << 22
+    tracemalloc.start()
+    try:
+        n, log_n = _angles.terms(n_terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n_terms + 16 * _angles.ROW_ELEMS + (64 << 10)
+    # every element's bits, the ends of each part included
+    edges = np.arange(0, n_terms, _angles.ROW_ELEMS)
+    idx = np.unique(np.clip(np.concatenate([edges - 1, edges, edges + 1, [n_terms - 1]]),
+                            0, n_terms - 1))
+    assert np.array_equal(log_n[idx], np.log(_angles.as_ld(n[idx])))
+    rows = slice(None, None, 997)
+    assert np.array_equal(log_n[rows], _angles.log_ld(n[rows]))
+
+
 def test_step_matrix_memory_is_bounded():
     # 128 lattice nodes of N = 131072 terms: the 64 x N step matrix takes
     # 134 MB; built in row blocks, the call peaks at 183 MB (342 MB when

@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zline import cli, scan, z_approx, z_oracle, z_oracle_info
+from zline import (QuadratureConfig, cli, scan, z_approx, z_from_integral, z_g,
+                   z_oracle, z_oracle_info)
 from zline.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, OutputRecord
 
 
@@ -101,15 +102,31 @@ def test_eval_integral_narrow_kernel_matches_oracle(capsys, sigma, t):
     assert abs(row["value"] - z) <= row["est"] + z_est
 
 
-def test_eval_approx_value_is_z_approx(capsys):
-    # the CLI sums H once for the value and its est; the value must stay
-    # z_approx's, bit for bit
-    for t in (10.0, 100.5, 1e4, 72015150.94):
-        code, out, _ = run(capsys, "eval", "--t", repr(t), "--method",
-                           "approx", "--json")
+def test_printed_value_and_est_are_the_routes(capsys):
+    # every eval method and table print the (value, est) their library
+    # route returns, bit for bit (JSON floats round-trip exactly)
+    cases = [
+        (("--t", "1600", "--method", "oracle"), z_oracle_info(1600.0)),
+        (("--t", "100", "--method", "integral"), z_from_integral(100.0)),
+        (("--t", "300", "--method", "integral", "--sigma", "1.5", "--eps", "1e-6"),
+         z_from_integral(300.0, 1.5, QuadratureConfig(tail_eps=1e-6))),
+        (("--t", "0", "--method", "integral"), z_from_integral(0.0)),
+        (("--t", "100.5", "--method", "approx"), z_approx(100.5)),
+        (("--t", "72015150.94", "--method", "approx", "--eps", "1e-8"),
+         z_approx(72015150.94, 1e-8)),
+        (("--t", "30", "--method", "g"), z_g(30.0)),
+        (("--t", "1e5", "--method", "g", "--eps", "1e-6"), z_g(1e5, 1e-6)),
+    ]
+    for argv, route in cases:
+        code, out, _ = run(capsys, "eval", *argv, "--json")
         assert code == EXIT_OK
         row = json.loads(out)["rows"][0]
-        assert row["value"] == z_approx(t, cli._series_tol(t, 1e-10))
+        assert (row["value"], row["est"]) == route, argv
+    code, out, _ = run(capsys, "table", "--rows", "10,1e8", "--json")
+    assert code == EXIT_OK
+    for row in json.loads(out)["rows"]:
+        assert (row["z"], row["z_est"]) == z_oracle_info(row["t"])
+        assert (row["approx"], row["approx_est"]) == z_approx(row["t"], cli._TABLE_EPS_Z)
 
 
 @pytest.mark.parametrize("t, ref", [
@@ -151,6 +168,23 @@ def test_work_over_budget_is_refused_at_once(capsys, argv, estimate, peak_mb):
     assert out == ""
     assert estimate in err and "above the work budget" in err
     assert peak < peak_mb << 20
+
+
+@pytest.mark.parametrize("argv, what", [
+    # the term count is formed in logs and refused before the tolerance
+    # of H is scaled down (it overflowed, or underflowed to 0 at 1e200)
+    (("eval", "--t", "1e88", "--method", "approx"), "H_0(1e+88)"),
+    (("eval", "--t", "1e88", "--method", "g"), "H_0(1e+88)"),
+    (("eval", "--t", "1e177", "--method", "g"), "H_0(1e+177)"),
+    (("eval", "--t", "1e200", "--method", "approx"), "H_0(1e+200)"),
+    (("eval", "--t", "1e200", "--method", "g"), "H_0(1e+200)"),
+    (("hstat", "--t", "1e172"), "H grid"),
+])
+def test_series_term_cap_at_huge_t_is_numerical_failure(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert f"{what} needs " in err and "above the cap 500000" in err
 
 
 def test_hstat_over_budget_is_numerical_failure(capsys):
@@ -274,6 +308,20 @@ def test_scan_usage_errors(capsys):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a step below the spacing of doubles at t: the grid does not increase
+    (("scan", "--from", "10", "--to", "10.00000000000001", "--step", "1e-16"),
+     "samples must be strictly increasing"),
+    # the Z-to-H tolerance divided by t = 0 before the g route checked t
+    (("eval", "--t", "0", "--method", "g"), "z_g requires t >= 20"),
+])
+def test_library_value_error_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
 
 
 def test_scan_under_resolved_is_numerical_failure(capsys, monkeypatch):

@@ -147,6 +147,16 @@ def test_f_on_line_scalar_in_scalar_out(sigma):
         assert v == f_on_line(np.array([x]), sigma)[0]
 
 
+@pytest.mark.parametrize("sigma", [1.0, 1.5, 4.0, 4.5])
+def test_f_on_line_keeps_the_shape_of_x(sigma):
+    # off sigma = 4 a 2-d x raised IndexError: the input is flattened and
+    # the result takes the shape of x on every line
+    x = np.array([[1.0, 2.0, 0.0], [-3.5, 10.0, 0.25]])
+    v = f_on_line(x, sigma)
+    assert v.shape == x.shape
+    assert np.array_equal(v, [[f_on_line(xi, sigma) for xi in row] for row in x])
+
+
 def test_f_on_line_domain():
     for sigma in (0.5, 3.0, 5.0):
         with pytest.raises(ValueError):
@@ -170,18 +180,18 @@ def test_f_integral_at_zero():
 
 
 def test_z_from_integral_matches_reference():
-    assert abs(z_from_integral(10.0) - -1.5491945) <= 1e-7
-    assert abs(z_from_integral(100.0) - 2.6926971) <= 1e-7
+    assert abs(z_from_integral(10.0)[0] - -1.5491945) <= 1e-7
+    assert abs(z_from_integral(100.0)[0] - 2.6926971) <= 1e-7
 
 
 def test_z_from_integral_at_zero():
-    assert abs(z_from_integral(0.0) - z_oracle(0.0)) <= 1e-8
+    assert abs(z_from_integral(0.0)[0] - z_oracle(0.0)) <= 1e-8
 
 
 def test_step_halving_convergence(monkeypatch):
-    a = z_from_integral(50.0)
+    a = z_from_integral(50.0)[0]
     monkeypatch.setattr(quad, "_STEP", 0.0625)
-    b = z_from_integral(50.0)
+    b = z_from_integral(50.0)[0]
     assert abs(a - b) <= 1e-10
 
 

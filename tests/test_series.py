@@ -23,9 +23,10 @@ from zline import (
     rho0,
     theta_mod_2pi,
     z_approx,
+    z_g,
     z_oracle,
 )
-from zline import _angles
+from zline import _angles, series
 from zline.scan import _lattice
 from zline.series import h_grid_terms
 
@@ -40,11 +41,6 @@ B_ROWS = {
     4: (1, 76, 230, 76, 1),
     5: (1, 237, 1682, 1682, 237, 1),
 }
-
-
-def _z_tol(t: float, eps_z: float) -> SeriesTolerance:
-    """Tail target in Z units mapped to the absolute H-series target."""
-    return SeriesTolerance(eps=eps_z * (2.0 * math.pi / t) ** 1.75)
 
 
 # ------------------------------------------------------------- Eulerian B
@@ -248,24 +244,40 @@ def test_h_series_grid_lattice_matches_direct(a, b, step):
 # ----------------------------------------------------------------- z_approx
 
 def test_z_approx_reference_values():
-    assert abs(z_approx(100.0, _z_tol(100.0, 5e-8)) - 2.6269297) <= 5e-7
-    assert abs(z_approx(1e6, _z_tol(1e6, 5e-8)) - -2.8061012) <= 5e-7
-    assert abs(z_approx(1e8, _z_tol(1e8, 1e-6)) - 3.6454066) <= 5e-6
-
-
-def test_z_approx_phase_variants():
-    # the two phase conventions differ by a 1/t-scale correction
-    a = z_approx(1e4, _z_tol(1e4, 1e-7))
-    b = z_approx(1e4, _z_tol(1e4, 1e-7), phase="vartheta")
-    assert abs(a - b) <= 5e-3
-    assert abs(a - -0.3452059) <= 5e-6
+    assert abs(z_approx(100.0, 5e-8)[0] - 2.6269297) <= 5e-7
+    assert abs(z_approx(1e4, 1e-7)[0] - -0.3452059) <= 5e-6
+    assert abs(z_approx(1e6, 5e-8)[0] - -2.8061012) <= 5e-7
+    assert abs(z_approx(1e8, 1e-6)[0] - 3.6454066) <= 5e-6
 
 
 def test_z_approx_guards():
     with pytest.raises(ValueError):
         z_approx(5.0)
-    with pytest.raises(ValueError):
-        z_approx(100.0, phase="psi")
+    for eps in (0.0, 5e-3):
+        with pytest.raises(ValueError, match="eps must be in"):
+            z_approx(100.0, eps)
+
+
+def test_z_routes_refuse_the_cap_before_scaling_eps():
+    # (t/2pi)^(-7/4) eps underflows to 0 near t = 1e200, and the power form
+    # of the term count overflowed from t ~ 1e88
+    for route in (z_approx, z_g):
+        for t in (1e88, 1e200, 1.7e308):
+            with pytest.raises(ConvergenceError, match="above the cap 500000"):
+                route(t)
+
+
+@pytest.mark.parametrize("t", [10.0, 100.5, 1e4, 72015150.94, 3e8])
+def test_term_counts_match_the_power_form(t):
+    # the count is formed in logs; it must stay the power form's
+    # ceil((lead / (6.5 eps))^(2/13)) wherever that is finite
+    for r in range(5):
+        for eps in (1e-3, 1e-10, 1e-10 * (2.0 * math.pi / t) ** 1.75, 1e-18):
+            lead = 2.0 * series._tail_const(r) * 3.5 ** r * (t / (2.0 * math.pi)) ** 1.75
+            power = max(math.ceil((lead / (6.5 * eps)) ** (2.0 / 13.0)), 1)
+            if power > 500_000:
+                continue
+            assert h_r_series_info(t, r, SeriesTolerance(eps))[1] == power, (r, eps)
 
 
 # ----------------------------------------------------------------- g_series
@@ -280,8 +292,7 @@ def test_g_series_at_1e8():
     # each H_r gets the tolerance its bracket weight allows; one shared
     # tolerance asked H_4 for 602,595 terms here, above the cap
     t = 1e8
-    den = math.sqrt(0.25 + t * t) * math.sqrt(6.25 + t * t)
-    assert abs(g_series(t, _z_tol(t, 1e-10)).real / den - z_oracle(t)) <= t ** -0.75
+    assert abs(z_g(t, 1e-10)[0] - z_oracle(t)) <= t ** -0.75
 
 
 def test_g_series_leading_part():

@@ -70,7 +70,10 @@ def commands() -> list:
              _eval("10", "bogus"),
              ("hstat", "--t", "nan"), ("hstat", "--t", "inf"),
              _eval("inf", "oracle"), _eval("nan", "oracle"), _eval("nan", "approx"),
-             ("xray", "--re0", "1", "--re1", "inf", "--im0", "-1", "--im1", "1")]
+             ("xray", "--re0", "1", "--re1", "inf", "--im0", "-1", "--im1", "1"),
+             # over the term cap of H: exit 3 before any tolerance is scaled
+             _eval("1e88", "approx"), _eval("1e88", "g"), _eval("1e177", "g"),
+             _eval("1e200", "approx"), _eval("1e200", "g"), ("hstat", "--t", "1e172")]
     return cmds
 
 
