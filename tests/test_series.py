@@ -245,9 +245,20 @@ def test_h_series_grid_lattice_matches_direct(a, b, step):
 
 def test_z_approx_reference_values():
     assert abs(z_approx(100.0, 5e-8)[0] - 2.6269297) <= 5e-7
-    assert abs(z_approx(1e4, 1e-7)[0] - -0.3452059) <= 5e-6
     assert abs(z_approx(1e6, 5e-8)[0] - -2.8061012) <= 5e-7
     assert abs(z_approx(1e8, 1e-6)[0] - 3.6454066) <= 5e-6
+
+
+def test_z_approx_phase_variants():
+    # the two phase conventions differ by a 1/t-scale correction: z_approx
+    # takes theta; the classical Riemann-Siegel vartheta is applied by hand
+    t, eps = 1e4, 1e-7
+    a = z_approx(t, eps)[0]
+    h = h_series(t, SeriesTolerance(eps * (2.0 * math.pi / t) ** 1.75))
+    ph = float(_angles.reduce_mod_2pi(_angles.vartheta_ld(t)))
+    b = (t / (2.0 * math.pi)) ** 1.75 * (math.cos(ph) * h.real - math.sin(ph) * h.imag)
+    assert abs(a - b) <= 5e-3
+    assert abs(a - -0.3452059) <= 5e-6
 
 
 def test_z_approx_guards():
