@@ -97,12 +97,18 @@ def ld_ulp(x: float) -> float:
     return float(np.spacing(as_ld(abs(x))))
 
 
+def count_str(n: int) -> str:
+    """A count for a message: exact below 1e16, else to three digits."""
+    return f"{n:.3g}" if n >= 1e16 else str(n)
+
+
 def check_work(points: int, n_terms: int) -> None:
     """Refuse (ConvergenceError, with the estimate) a sum of n_terms terms
     at each of `points` points above WORK_BUDGET, before it allocates."""
     work = points * n_terms
     if work > WORK_BUDGET:
-        raise ConvergenceError(f"{points} points x {n_terms} terms = {work:.3g} "
+        raise ConvergenceError(f"{count_str(points)} points x {count_str(n_terms)} "
+                               f"terms = {work:.3g} "
                                f"term evaluations, above the work budget of "
                                f"{WORK_BUDGET:.3g}")
 
@@ -380,12 +386,14 @@ def dirichlet_sums(x, log_n, direct, amp=None, shift=None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=complex)
-    on = np.zeros(x.shape, dtype=bool)
-    if amp is not None:
+    if amp is None or x.size < 2 * _LATTICE_BLOCK:
+        rest = np.arange(x.size)  # too few samples for a lattice block
+    else:
+        on = np.zeros(x.shape, dtype=bool)
         for start in range(0, x.size, _LATTICE_SLICE):
             part = slice(start, start + _LATTICE_SLICE)
             on[part], out[part] = lattice_sums(x[part], amp, log_n, shift)
-    rest = np.flatnonzero(~on)
+        rest = np.flatnonzero(~on)
     width = min(log_n.size, ROW_ELEMS)
     for start in range(0, rest.size, ROW_ELEMS // width):
         r = rest[start:start + ROW_ELEMS // width]
@@ -441,7 +449,9 @@ def em_tail(s, n_terms: int):
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     big_n = float(n_terms)
-    n_pow_ms = big_n ** (-s.real) * n_pow_minus_it(s.imag, log_ld(big_n))
+    # log N from the kept table, which holds log_ld(N) bit for bit
+    log_big_n = terms(n_terms)[1][-1] if n_terms <= RETAIN_TERMS else log_ld(big_n)
+    n_pow_ms = big_n ** (-s.real) * n_pow_minus_it(s.imag, log_big_n)
     bracket = big_n / (s - 1.0) - 0.5
     poch = s  # s(s+1)...(s+2k-2), built incrementally
     for k, c in enumerate(_EM_COEF, start=1):

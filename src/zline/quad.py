@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _angles
 from .errors import ConvergenceError
@@ -52,6 +53,9 @@ _MAX_WINDOW = 1.0e5
 _STEP = 0.125
 # relative trapezoid error off sigma = 4: the roundoff level of the est
 _STEP_TOL = 5e-15
+# bin width of the F grid's offsets: the second-order term of a bin's
+# first-order kernel rows moves F by ~1e-18 of its scale
+_OFFSET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,8 @@ def omega_kernel(sigma: float, t):
 def _trapz_fsum(y: np.ndarray, x: np.ndarray) -> complex:
     """Trapezoid rule with exactly rounded summation (complex y)."""
     cells = 0.5 * (y[:-1] + y[1:]) * np.diff(x)
-    return complex(math.fsum(cells.real.tolist()),
-                   math.fsum(cells.imag.tolist()))
+    return complex(math.fsum(memoryview(cells.real)),
+                   math.fsum(memoryview(cells.imag)))
 
 
 def strip_solve(p: StripProblem, sigma: float, t: float) -> float:
@@ -263,34 +267,66 @@ def z_from_integral(t: float, sigma: float = 4.0,
 
 
 def f_integral_grid(ts: np.ndarray) -> np.ndarray:
-    """F(t) at sigma = 4 for ascending t >= 0, sharing one sample grid.
+    """F(t) at sigma = 4 for ascending t >= 0, from one evaluation of f on
+    the step-h lattice x = jh.
 
-    Used by the phase trackers: thousands of t values reuse a single
-    evaluation of f on the step-h lattice h*k, whose zeta values take the
-    lattice route of _angles.dirichlet_sums (in slices of 65536 samples,
-    8192 in t).  Summation over the samples is numpy's pairwise
-    reduction (deterministic for fixed shapes); the small loss of the fsum
-    guarantee only perturbs tracked phases at the 1e-10 rad level.  Work
-    over the budget, zeta's and then the kernel's, is refused.
+    Used by the phase trackers.  Each t is summed by the trapezoid rule
+    over its own window of samples, j = k - w .. k + w + 1 about
+    k = floor(t/h), with w = ceil(W/h) and W the _f_window of the largest
+    t.  Its kernel row K(mh - r), m = -w .. w + 1, depends only on the
+    offset r = t - kh.  Offsets are binned to _OFFSET_TOL, and a bin
+    takes the rows K and K' at its centre c, to first order in r - c:
+    K(mh - r) ~ K(mh - c) - (r - c) K'(mh - c).  A uniform grid has a few
+    bins, a refinement point a bin of its own.  The t of one bin are one
+    product of their windows of f with the two rows, in chunks under
+    ROW_ELEMS elements: the Toeplitz structure of a uniform grid, as in
+    Odlyzko-Schoenhage.  zeta on the lattice takes the lattice route of
+    _angles.dirichlet_sums (in slices of 65536 samples, 8192 in t).  The
+    products are BLAS sums (deterministic for fixed shapes); the small
+    loss of the fsum guarantee only perturbs tracked phases at the 1e-10
+    rad level.  Work over the budget, zeta's and then the kernel's
+    (points x (2w + 2) terms), is refused before anything per t is formed.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.empty(0, dtype=complex)
-    if np.any(ts < 0.0) or np.any(np.diff(ts) < 0.0):
+    if np.any(ts < 0.0) or np.any(ts[1:] < ts[:-1]):
         raise ValueError("ts must be ascending and nonnegative")
-    half = _f_window(float(ts[-1]), 4.0, _DEFAULT_CFG)
     h = _STEP
-    lo = math.floor((ts[0] - half) / h)
-    hi = math.ceil((ts[-1] + half) / h)
-    xs = h * np.arange(lo, hi + 1)
-    y = f_on_line(xs)
-    _angles.check_work(ts.size, xs.size)  # the kernel at every t and sample
+    w = math.ceil(_f_window(float(ts[-1]), 4.0, _DEFAULT_CFG) / h)
+    lo = math.floor(ts[0] / h) - w
+    y = f_on_line(h * np.arange(lo, math.floor(ts[-1] / h) + w + 2))
+    _angles.check_work(ts.size, 2 * w + 2)
+    windows = sliding_window_view(y, 2 * w + 2)
+    # h a power of two: k, kh and r are exact, 0 <= r < h
+    k = np.floor(ts / h)
+    r = ts - h * k
+    start = k.astype(np.int64) - (lo + w)
+    bins, group = np.unique(np.round(r / _OFFSET_TOL), return_inverse=True)
+    dr = r - bins[group] * _OFFSET_TOL
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group))
+    u = h * np.arange(-w, w + 2)
+    chunk = max(1, _angles.ROW_ELEMS // (2 * w + 2))
     out = np.empty(ts.size, dtype=complex)
-    for start in range(0, ts.size, 256):
-        tt = ts[start:start + 256, None]
-        rows = y[None, :] * kernel(xs[None, :] - tt)
-        out[start:start + 256] = h * (rows.sum(axis=1)
-                                      - 0.5 * (rows[:, 0] + rows[:, -1]))
+    begin = 0
+    for b, end in zip(bins, ends):
+        # K and K' at u - r_b, trapezoid ends halved; each in two columns,
+        # for the real and the imaginary parts of the windows viewed as
+        # float pairs: one real product gives both sums of every t
+        v = u - b * _OFFSET_TOL
+        k_row = kernel(v)
+        k_row[[0, -1]] *= 0.5
+        rows = np.zeros((2 * w + 2, 2, 4))
+        rows[:, 0, 0] = rows[:, 1, 1] = k_row
+        rows[:, 0, 2] = rows[:, 1, 3] = (-math.pi / 7.0 * k_row
+                                         * np.tanh(math.pi / 7.0 * v))
+        rows = rows.reshape(-1, 4)
+        for c in range(begin, end, chunk):
+            idx = order[c:min(c + chunk, end)]
+            sums = (windows[start[idx]].view(float) @ rows).view(complex)
+            out[idx] = h * (sums[:, 0] - dr[idx] * sums[:, 1])
+        begin = end
     return out
 
 

@@ -395,7 +395,8 @@ def _xray_terms(re_max: float, points: int) -> int:
     of it above the work budget, before anything is allocated."""
     n0 = _angles.pow2_bucket(max(2048, int(0.4 * re_max) + 1), 2048)
     if n0 > _XRAY_ELEMS:
-        raise ConvergenceError(f"H at Re z = {re_max:g} needs {n0} terms, "
+        raise ConvergenceError(f"H at Re z = {re_max:g} needs "
+                               f"{_angles.count_str(n0)} terms, "
                                f"above the block budget of {_XRAY_ELEMS}")
     _angles.check_work(points, n0)
     return n0

@@ -122,6 +122,17 @@ def zeta(s, tol: float = 2.0 ** -52):
     default is one ulp of zeta ~ 1; the absolute error is about tol plus
     the roundoff of the sum.  Accepts scalars or arrays; a call over the
     work budget is refused (ConvergenceError) before it allocates."""
+    if np.ndim(s) == 0:
+        # one sample, the scalar oracle's: checked on the Python complex
+        z = complex(s)
+        if z.real <= 0.0:
+            raise ValueError("zeta requires Re s > 0")
+        if abs(z - 1.0) < 1e-10:
+            raise ValueError("zeta: s too close to the pole at s = 1")
+        if z.real < 2.0 and abs(z.imag) > _EM_CAP:
+            raise ValueError(f"zeta: |Im s| = {abs(z.imag):g} exceeds cap "
+                             f"{_EM_CAP:g} left of Re s = 2")
+        return complex(_zeta_em_core(z, _angles.em_terms(z.real, abs(z.imag), tol))[0])
     ss = np.asarray(s, dtype=complex)
     flat = ss.ravel()
     if np.any(flat.real <= 0.0):
@@ -136,8 +147,7 @@ def zeta(s, tol: float = 2.0 ** -52):
         return flat.reshape(ss.shape)
     n_terms = _angles.em_terms(float(flat.real.min()),
                                float(np.abs(flat.imag).max()), tol)
-    out = _zeta_em_core(flat, n_terms)
-    return complex(out[0]) if ss.ndim == 0 else out.reshape(ss.shape)
+    return _zeta_em_core(flat, n_terms).reshape(ss.shape)
 
 
 # ----------------------------------------------------------------------

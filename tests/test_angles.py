@@ -131,6 +131,14 @@ def test_off_lattice_rows_keep_the_direct_route(s):
                           _direct(s, 1024) + _angles.em_tail(s, 1024))
 
 
+def test_em_tail_log_n_is_the_table_entry():
+    # em_tail reads log N from the terms table: the same longdouble log,
+    # so the tail is unchanged bit for bit
+    log_n = np.log(_angles.as_ld(np.arange(1, 4097)))
+    for n_terms in range(64, 4097):
+        assert log_n[n_terms - 1] == _angles.log_ld(float(n_terms))
+
+
 def test_direct_rows_are_blocked_over_terms(monkeypatch):
     # one off-lattice row of 16384 terms (its n and log n tables are kept)
     # under an element budget of 1024: it is summed in 16 parts, so its

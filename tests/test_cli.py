@@ -3,6 +3,7 @@ the JSON/CSV contracts."""
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,21 @@ def test_work_over_budget_is_refused_at_once(capsys, argv, estimate, peak_mb):
     assert out == ""
     assert estimate in err and "above the work budget" in err
     assert peak < peak_mb << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--t", "1e300", "--method", "oracle"),
+    ("hstat", "--t", "100", "--step", "1e-300"),
+    ("xray", "--re0", "1e300", "--re1", "1.1e300", "--im0", "-1", "--im1", "1"),
+])
+def test_refusal_counts_are_short(capsys, tmp_path, argv):
+    # counts of 1e16 and above are printed to three digits, not in full
+    if argv[0] == "xray":
+        argv += ("--out", str(tmp_path / "grid.csv"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert "above the" in err
+    assert max(map(len, re.findall(r"\d+", err))) <= 16
 
 
 @pytest.mark.parametrize("argv, what", [
@@ -481,6 +497,11 @@ def test_hstat_frozen_json(capsys):
     ("1600", "0.0942799195468165", "1.2324683680476908e-07"),
     ("1e4", "-0.3413947244335089", "5.087092663662779e-09"),
     ("1e8", "3.645407868486116", "1.0709706182347008e-08"),
+    # the Euler-Maclaurin route, t <= 500
+    ("0", "-1.460354508809587", "4.3956670715168575e-12"),
+    ("10", "-1.549194546181022", "5.9601325701975306e-09"),
+    ("100", "2.6926970566642088", "8.181605069740381e-12"),
+    ("499.9", "1.9575853313934324", "5.872780099683014e-12"),
 ])
 def test_eval_oracle_frozen_json(capsys, t, value, est):
     assert run(capsys, "eval", "--method", "oracle", "--t", t, "--json") == (

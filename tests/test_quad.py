@@ -222,11 +222,45 @@ def test_f_integral_grid_matches_scalar():
         assert abs(v - ref) <= 1e-9 * abs(ref)
 
 
-def test_f_integral_grid_refuses_kernel_work_over_budget():
-    # zeta at the 25,967 samples is under the budget; the kernel at 1e5
-    # points x those samples is not, and is refused before it is summed
-    ts = np.linspace(10.0, 3000.0, 100_000)
-    with pytest.raises(ConvergenceError, match="100000 points x 25967 terms"):
+def _own_window_sums(ts: np.ndarray) -> np.ndarray:
+    """F at each t by the trapezoid rule over its own lattice window, with
+    its exact offset: j = k - w .. k + w + 1 about k = floor(t/h)."""
+    h = quad._STEP
+    w = math.ceil(quad._f_window(float(ts[-1]), 4.0, QuadratureConfig()) / h)
+    out = []
+    for t in ts:
+        x = h * np.arange(math.floor(t / h) - w, math.floor(t / h) + w + 2)
+        y = f_on_line(x) * kernel(x - t)
+        out.append(h * (y.sum() - 0.5 * (y[0] + y[-1])))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("ts", [
+    # a scan window: five offsets from the lattice, one bin of rows each
+    np.arange(100.0, 103.0, 0.05),
+    # refinement points between grid nodes, a bin each
+    np.sort(np.concatenate([np.arange(1000.0, 1001.0, 0.05),
+                            np.random.default_rng(7).uniform(1000.0, 1001.0, 15)])),
+])
+def test_f_integral_grid_is_the_own_window_sum(ts):
+    got = f_integral_grid(ts)
+    assert np.all(np.abs(got - _own_window_sums(ts)) <= 1e-11 * np.abs(got))
+    for i in (0, ts.size // 2, ts.size - 1):
+        ref = f_integral(float(ts[i]))
+        assert abs(got[i] - ref) <= 1e-9 * abs(ref)
+
+
+def test_f_integral_grid_refuses_kernel_work_over_budget(monkeypatch):
+    # zeta at the 25,967 samples is under the budget; the kernel at 2e6
+    # points x their 2048-sample windows is not, and is refused before any
+    # kernel row is formed
+    ts = np.linspace(10.0, 3000.0, 2_000_000)
+
+    def no_kernel(*args):
+        raise AssertionError("kernel row formed")
+
+    monkeypatch.setattr(quad, "kernel", no_kernel)
+    with pytest.raises(ConvergenceError, match="2000000 points x 2048 terms"):
         f_integral_grid(ts)
 
 
