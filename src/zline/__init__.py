@@ -10,14 +10,13 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .errors import AccuracyWarning, ConvergenceError, PhaseTrackError
+from .errors import ConvergenceError, PhaseTrackError
 from .special import (
     ln_gamma,
     oracle_terms,
     rs_theta,
     upper_incomplete_gamma,
     z_oracle,
-    z_oracle_info,
     zeta,
 )
 from .phase import (
@@ -37,7 +36,6 @@ from .phase import (
     z_denominator,
 )
 from .quad import (
-    QuadratureConfig,
     StripProblem,
     f_integral,
     f_integral_grid,
@@ -50,13 +48,10 @@ from .quad import (
 )
 from .series import (
     EulerianB,
-    SeriesTolerance,
     eulerian_b,
     fourier_cosh_moment,
     g_series,
-    h_r_series,
     h_r_series_info,
-    h_series,
     h_series_grid,
     z_approx,
     z_g,
@@ -77,7 +72,6 @@ from .cli import OutputRecord, main
 
 __all__ = [
     "__version__",
-    "AccuracyWarning",
     "ConvergenceError",
     "PhaseTrackError",
     "ln_gamma",
@@ -85,7 +79,6 @@ __all__ = [
     "rs_theta",
     "upper_incomplete_gamma",
     "z_oracle",
-    "z_oracle_info",
     "zeta",
     "ALPHA_SERIES",
     "BERNOULLI_EVEN",
@@ -101,7 +94,6 @@ __all__ = [
     "theta",
     "theta_mod_2pi",
     "z_denominator",
-    "QuadratureConfig",
     "StripProblem",
     "f_integral",
     "f_integral_grid",
@@ -112,13 +104,10 @@ __all__ = [
     "strip_solve",
     "z_from_integral",
     "EulerianB",
-    "SeriesTolerance",
     "eulerian_b",
     "fourier_cosh_moment",
     "g_series",
-    "h_r_series",
     "h_r_series_info",
-    "h_series",
     "h_series_grid",
     "z_approx",
     "z_g",

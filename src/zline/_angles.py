@@ -18,13 +18,15 @@ of rows and terms under ROW_ELEMS elements.  This module also holds what
 the sums share: log 2pi, the longdouble theta, the power-of-two term
 bucket, the Euler-Maclaurin tail with zeta's one term rule (em_terms, from
 the first term the tail leaves out), the work budget of every points x
-terms sum, and the tables kept between calls, read-only, up to
+terms sum, the bound (0, EPS_MAX] of every tail target eps with its one
+check, and the tables kept between calls, read-only, up to
 RETAIN_TERMS (16384) terms: the last step matrix (16 MB) and n with log n
 (terms); larger ones are built per call and kept by nobody.
 """
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -61,6 +63,8 @@ TAYLOR_TOL = 1e-17
 TAYLOR_MAX_ORDER = 16
 #: Taylor radius of sech in a real shift: its poles sit at +-i pi/2
 SECH_RADIUS = 0.5 * math.pi
+#: largest tail target eps a route takes: every eps lies in (0, EPS_MAX]
+EPS_MAX = 1e-3
 
 # B_{2k}/(2k)! for k = 1..4, the Euler-Maclaurin correction depth (B8).
 _EM_COEF = (
@@ -97,9 +101,22 @@ def ld_ulp(x: float) -> float:
     return float(np.spacing(as_ld(abs(x))))
 
 
+def check_eps(eps: float) -> None:
+    """Refuse (ValueError) a tail target eps outside (0, EPS_MAX]."""
+    if not 0.0 < eps <= EPS_MAX:
+        raise ValueError(f"eps must be in (0, {EPS_MAX:g}]")
+
+
+def _g3(n: int) -> str:
+    """An int to three digits, as %.3g, also above the float range."""
+    if n < 1e308:
+        return f"{n:.3g}"
+    return f"{Decimal(n).normalize(Context(prec=3)):e}"
+
+
 def count_str(n: int) -> str:
     """A count for a message: exact below 1e16, else to three digits."""
-    return f"{n:.3g}" if n >= 1e16 else str(n)
+    return _g3(n) if n >= 1e16 else str(n)
 
 
 def check_work(points: int, n_terms: int) -> None:
@@ -108,7 +125,7 @@ def check_work(points: int, n_terms: int) -> None:
     work = points * n_terms
     if work > WORK_BUDGET:
         raise ConvergenceError(f"{count_str(points)} points x {count_str(n_terms)} "
-                               f"terms = {work:.3g} "
+                               f"terms = {_g3(work)} "
                                f"term evaluations, above the work budget of "
                                f"{WORK_BUDGET:.3g}")
 

@@ -8,9 +8,9 @@ Subcommands:
   xray   sign grid of the series evaluator over a complex rectangle
 
 Each subcommand checks its flags, calls the library and prints what it
-returns.  The eval methods are z_oracle_info, z_from_integral, z_approx
-and z_g, each returning (value, est) in Z units; table prints those of
-z_oracle_info and z_approx.  All output is deterministic: fixed 7-decimal
+returns.  The eval methods are z_oracle, z_from_integral, z_approx and
+z_g, each returning (value, est) in Z units; table prints those of
+z_oracle and z_approx.  All output is deterministic: fixed 7-decimal
 formatting in text modes, shortest-round-trip floats in JSON, LF line
 endings.  Exit codes: 0 success, 2 usage error (a bad flag, or a
 ValueError from the library), 3 numerical failure (ConvergenceError or
@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 from . import __version__, _angles
 from .errors import ConvergenceError, PhaseTrackError
-from .quad import QuadratureConfig, z_from_integral
+from .quad import z_from_integral
 from .scan import c_statistic_profile, phase_count_check, xray_grid
 from .series import z_approx, z_g
-from .special import z_oracle_info
+from .special import z_oracle
 
 __all__ = ["OutputRecord", "main"]
 
@@ -39,7 +39,6 @@ _TABLE_TS = tuple(float(10 ** k) for k in range(1, 9))
 # internal series target for the table, in Z units; far below the 1e-5
 # reporting gate and the 5e-6 print precision
 _TABLE_EPS_Z = 1e-7
-_EPS_MAX = 1e-3  # --eps of every method, as QuadratureConfig and SeriesTolerance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,9 +64,9 @@ class OutputRecord:
 
 def _eval_record(t: float, method: str, sigma: float, eps: float) -> OutputRecord:
     if method == "oracle":
-        value, est = z_oracle_info(t)
+        value, est = z_oracle(t)
     elif method == "integral":
-        value, est = z_from_integral(t, sigma, QuadratureConfig(tail_eps=eps))
+        value, est = z_from_integral(t, sigma, eps)
     elif method == "approx":
         value, est = z_approx(t, eps)
     else:
@@ -99,8 +98,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _usage_error("--t must be nonnegative")
     if not 0.5 < sigma < 5.0 or abs(sigma - 3.0) < 1e-9:
         return _usage_error("--sigma must lie in (0.5, 5) excluding 3")
-    if not 0.0 < eps <= _EPS_MAX:
-        return _usage_error(f"--eps must lie in (0, {_EPS_MAX:g}]")
+    if not 0.0 < eps <= _angles.EPS_MAX:
+        return _usage_error(f"--eps must lie in (0, {_angles.EPS_MAX:g}]")
     record = _eval_record(t, args.method, sigma, eps)
     if args.json:
         flags = {"t": t, "method": args.method, "sigma": sigma, "eps": eps}
@@ -139,7 +138,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = []
     worst = 0.0
     for t in _parse_rows(args.rows):
-        zv, z_est = z_oracle_info(t)
+        zv, z_est = z_oracle(t)
         za, a_est = z_approx(t, _TABLE_EPS_Z)
         worst = max(worst, z_est, a_est)
         rows.append((t, zv, z_est, za, a_est, abs(zv - za)))

@@ -1,7 +1,7 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 from __future__ import annotations
 
-__all__ = ["ConvergenceError", "PhaseTrackError", "AccuracyWarning"]
+__all__ = ["ConvergenceError", "PhaseTrackError"]
 
 
 class ConvergenceError(RuntimeError):
@@ -11,7 +11,3 @@ class ConvergenceError(RuntimeError):
 class PhaseTrackError(RuntimeError):
     """Continuous-branch tracking rejected a step (under-resolved grid,
     zero sample, or a phase jump too large to assign a branch)."""
-
-
-class AccuracyWarning(UserWarning):
-    """Estimated error of a returned value exceeds its advertised target."""

@@ -12,13 +12,14 @@ exact integral to the series representation.
 Quadrature is the uniform trapezoid rule: the integrands extend
 analytically to |Im x| < 1 (branch point of the phase factor at x = i), so
 the discretization error decays like exp(-2 pi / step) and the tail
-truncation, controlled by tail_eps, dominates.  Off sigma = 4 the kernel's
-poles at x - t = +-i(sigma - 1/2) leave an error of about
+truncation, controlled by the tail target eps, dominates.  Off sigma = 4
+the kernel's poles at x - t = +-i(sigma - 1/2) leave an error of about
 4 exp(-2 pi (sigma - 1/2) / step) of |F|; below sigma ~ 1.18 f_integral
 shrinks the step to hold it at roundoff.  Final reductions use
 math.fsum, which keeps the huge-integrand cancellation in F exact to the
 last bit; staged differences share their sample lattice so common terms
-cancel exactly.
+cancel exactly.  The tail target is one float eps in (0, 1e-3]
+(_angles.EPS_MAX), 1e-10 by default.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from .phase import h_exact, l1, rho0, theta, theta_mod_2pi, z_denominator
 from .special import ln_gamma, zeta
 
 __all__ = [
-    "QuadratureConfig",
     "StripProblem",
     "kernel",
     "omega_kernel",
@@ -56,19 +56,6 @@ _STEP_TOL = 5e-15
 # bin width of the F grid's offsets: the second-order term of a bin's
 # first-order kernel rows moves F by ~1e-18 of its scale
 _OFFSET_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tail target of the truncated quadrature windows."""
-    tail_eps: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.tail_eps <= 1e-3:
-            raise ValueError("tail_eps must be in (0, 1e-3]")
-
-
-_DEFAULT_CFG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -139,7 +126,7 @@ def strip_solve(p: StripProblem, sigma: float, t: float) -> float:
         u(sigma,t) = 1/(2w) int A(x) omega((sigma-a)/w, (x-t)/w) dx
                    + 1/(2w) int B(x) omega((b-sigma)/w, (x-t)/w) dx,
 
-    w = b - a.  Window is chosen from the growth bound and tail_eps 1e-10.
+    w = b - a.  Window is chosen from the growth bound and a tail of 1e-10.
     """
     if not p.a < sigma < p.b:
         raise ValueError("sigma must lie strictly inside the strip")
@@ -151,7 +138,7 @@ def strip_solve(p: StripProblem, sigma: float, t: float) -> float:
     amp = max(float(np.max(np.abs(p.boundary_a(probe)) * scale)),
               float(np.max(np.abs(p.boundary_b(probe)) * scale)), 1e-300)
     half = (math.log(4.0 * amp * (1.0 + math.exp(p.growth * abs(t))))
-            + math.log(1.0 / (kappa * w * _DEFAULT_CFG.tail_eps))) / kappa
+            + math.log(1.0 / (kappa * w * 1e-10))) / kappa
     half = max(half, 2.0 * w)
     if half > _MAX_WINDOW:
         raise ConvergenceError(f"strip window {half:.3g} exceeds {_MAX_WINDOW:g}")
@@ -218,15 +205,15 @@ def f_on_line(x, sigma: float = 4.0):
 # the exact integral F(t)
 
 
-def _f_window(t: float, sigma: float, cfg: QuadratureConfig) -> float:
+def _f_window(t: float, sigma: float, eps: float) -> float:
     """Half-window for the F integral: kernel decay pi/(2 sigma - 1) against
     polynomial growth of |f| ~ x^{2+(2 sigma-1)/4}, iterated once."""
     w = 2.0 * sigma - 1.0
     rate = math.pi / w
     grow = 2.0 + w / 4.0
-    half = (math.log(1.0 / cfg.tail_eps) + 5.0) / rate
+    half = (math.log(1.0 / eps) + 5.0) / rate
     for _ in range(2):
-        half = (math.log(1.0 / cfg.tail_eps)
+        half = (math.log(1.0 / eps)
                 + grow * math.log(abs(t) + half + math.e)
                 + math.log(8.0 * (1.0 + w))) / rate
     if half > _MAX_WINDOW:
@@ -234,18 +221,18 @@ def _f_window(t: float, sigma: float, cfg: QuadratureConfig) -> float:
     return half
 
 
-def f_integral(t: float, sigma: float = 4.0,
-               cfg: QuadratureConfig | None = None) -> complex:
+def f_integral(t: float, sigma: float = 4.0, eps: float = 1e-10) -> complex:
     """F(t) = int f(sigma+ix) kernel(x-t, 2 sigma-1) dx, exact representation.
 
     Re F(t) is independent of sigma and equals Z(t) sqrt(1/4+t^2)
-    sqrt(25/4+t^2).  The step is 1/8, finer below sigma ~ 1.18 where the
-    kernel narrows.  Negative t by reflection F(-t) = conj F(t).
+    sqrt(25/4+t^2).  The window's two tails are each below eps.  The step
+    is 1/8, finer below sigma ~ 1.18 where the kernel narrows.  Negative t
+    by reflection F(-t) = conj F(t).
     """
-    cfg = cfg or _DEFAULT_CFG
+    _angles.check_eps(eps)
     if t < 0.0:
-        return complex(np.conj(f_integral(-t, sigma, cfg)))
-    half = _f_window(t, sigma, cfg)
+        return complex(np.conj(f_integral(-t, sigma, eps)))
+    half = _f_window(t, sigma, eps)
     h = min(_STEP, 2.0 * math.pi * (sigma - 0.5) / math.log(4.0 / _STEP_TOL))
     n = int(math.ceil(half / h))
     xs = t + h * np.arange(-n, n + 1)
@@ -254,16 +241,15 @@ def f_integral(t: float, sigma: float = 4.0,
 
 
 def z_from_integral(t: float, sigma: float = 4.0,
-                    cfg: QuadratureConfig | None = None) -> tuple[float, float]:
+                    eps: float = 1e-10) -> tuple[float, float]:
     """Z(t) = Re F(t) / z_denominator(t) at sigma, and its est: two tails of
-    cfg.tail_eps and the trapezoid's _STEP_TOL of rho0(t) (the scale of F)
-    over the denominator, plus 1e-14 for the division."""
-    cfg = cfg or _DEFAULT_CFG
-    f = f_integral(t, sigma, cfg)
+    eps and the trapezoid's _STEP_TOL of rho0(t) (the scale of F) over the
+    denominator, plus 1e-14 for the division."""
+    f = f_integral(t, sigma, eps)
     den = z_denominator(t)
     # the roundoff term scales with rho0, which is 0 at t = 0
     roundoff = _STEP_TOL * rho0(abs(t)) if t else 0.0
-    return f.real / den, (2.0 * cfg.tail_eps + roundoff) / den + 1e-14
+    return f.real / den, (2.0 * eps + roundoff) / den + 1e-14
 
 
 def f_integral_grid(ts: np.ndarray) -> np.ndarray:
@@ -273,8 +259,8 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     Used by the phase trackers.  Each t is summed by the trapezoid rule
     over its own window of samples, j = k - w .. k + w + 1 about
     k = floor(t/h), with w = ceil(W/h) and W the _f_window of the largest
-    t.  Its kernel row K(mh - r), m = -w .. w + 1, depends only on the
-    offset r = t - kh.  Offsets are binned to _OFFSET_TOL, and a bin
+    t at eps 1e-10.  Its kernel row K(mh - r), m = -w .. w + 1, depends
+    only on the offset r = t - kh.  Offsets are binned to _OFFSET_TOL, and a bin
     takes the rows K and K' at its centre c, to first order in r - c:
     K(mh - r) ~ K(mh - c) - (r - c) K'(mh - c).  A uniform grid has a few
     bins, a refinement point a bin of its own.  The t of one bin are one
@@ -293,7 +279,7 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     if np.any(ts < 0.0) or np.any(ts[1:] < ts[:-1]):
         raise ValueError("ts must be ascending and nonnegative")
     h = _STEP
-    w = math.ceil(_f_window(float(ts[-1]), 4.0, _DEFAULT_CFG) / h)
+    w = math.ceil(_f_window(float(ts[-1]), 4.0, 1e-10) / h)
     lo = math.floor(ts[0] / h) - w
     y = f_on_line(h * np.arange(lo, math.floor(ts[-1] / h) + w + 2))
     _angles.check_work(ts.size, 2 * w + 2)
@@ -347,12 +333,12 @@ def _window_nodes(center: float, lo: float, hi: float, h: float) -> np.ndarray:
     return nodes
 
 
-def _stage4_half(t: float, cfg: QuadratureConfig) -> float:
+def _stage4_half(t: float, eps: float) -> float:
     """Full-line window for the bracket integrand L1 * zeta * kernel."""
-    half = 7.0 / math.pi * (math.log(1.0 / cfg.tail_eps) + 3.0)
+    half = 7.0 / math.pi * (math.log(1.0 / eps) + 3.0)
     for _ in range(2):
         l1_amp = float(np.max(np.abs(l1(np.array([half]), t))))
-        half = 7.0 / math.pi * (math.log(1.0 / cfg.tail_eps)
+        half = 7.0 / math.pi * (math.log(1.0 / eps)
                                 + math.log(8.0 * 1.1 * max(l1_amp, 1.0)))
     if half > _MAX_WINDOW:
         raise ConvergenceError("stage-4 window exceeded the cap")
@@ -366,8 +352,9 @@ def _zeta_to(x, reach: float) -> np.ndarray:
     return zeta(4.0 + 1j * np.append(x, reach))[:-1]
 
 
-def f_staged(t: float, stage: int, cfg: QuadratureConfig | None = None) -> complex:
-    """Staged approximations of F(t) for t >= 20.
+def f_staged(t: float, stage: int, eps: float = 1e-10) -> complex:
+    """Staged approximations of F(t) for t >= 20, windows sized for a tail
+    target eps.
 
     stage 1: the exact integrand restricted to the window |x-t| <= (28/pi) log t
     stage 2: same window, f(4+ix) replaced by rho0(x) e^{i theta(x)} zeta(4+ix)
@@ -384,9 +371,9 @@ def f_staged(t: float, stage: int, cfg: QuadratureConfig | None = None) -> compl
     There the integrand is already down at the window's truncation level,
     so their rounding moves a stage gap by ~1e-16 of itself.
     """
-    cfg = cfg or _DEFAULT_CFG
     if t < 20.0:
         raise ValueError("f_staged requires t >= 20")
+    _angles.check_eps(eps)
     if stage not in (1, 2, 3, 4):
         raise ValueError("stage must be 1..4")
     h = _STEP
@@ -394,14 +381,14 @@ def f_staged(t: float, stage: int, cfg: QuadratureConfig | None = None) -> compl
     if stage in (1, 2):
         # the stage-2 substitute needs x >= 10; clip (active only for t < 45)
         xs = _window_nodes(t, max(t - half1, 10.0), t + half1, h)
-        z = _zeta_to(xs, t + h * math.ceil(_f_window(t, 4.0, cfg) / h))
+        z = _zeta_to(xs, t + h * math.ceil(_f_window(t, 4.0, eps) / h))
         if stage == 1:
             y = h_exact(xs) * z * kernel(xs - t)
         else:
             y = rho0(xs) * np.exp(1j * theta(xs)) * z * kernel(xs - t)
         return _trapz_fsum(y, xs)
 
-    half4 = max(_stage4_half(t, cfg), half1)
+    half4 = max(_stage4_half(t, eps), half1)
     half = half1 if stage == 3 else half4
     us = _window_nodes(0.0, -half, half, h)
     beta = 0.5 * (_angles.log_ld(t) - _angles.LOG_2PI_LD)

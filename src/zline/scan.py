@@ -13,6 +13,7 @@ export of the series evaluator off the real axis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
@@ -194,10 +195,17 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
 
 
 def _lattice_size(a: float, b: float, step: float) -> int:
-    """Points of _lattice(a, b, step), or one more, without building it."""
+    """Points of _lattice(a, b, step), or one more, without building it; a
+    count too large for a float is refused (ConvergenceError) as work over
+    the budget."""
     if not 0.0 < step <= 0.25:
         raise ValueError("step must lie in (0, 0.25]")
-    return math.ceil((b - a) / step) + 1
+    count = (b - a) / step
+    if not math.isfinite(count):
+        raise ConvergenceError(f"[{a:g}, {b:g}] at step {step:.3g} has over "
+                               f"{sys.float_info.max:.3g} points, above the work "
+                               f"budget of {_angles.WORK_BUDGET:.3g}")
+    return math.ceil(count) + 1
 
 
 def _lattice(a: float, b: float, step: float) -> np.ndarray:
@@ -258,7 +266,9 @@ def phase_count_check(a: float, b: float, step: float = 0.05) -> ZeroScanReport:
         raise ValueError("need 10 <= a < b")
     _angles.check_work(_lattice_size(a, b, step), oracle_terms(a, b))
     track = _refined_track(_lattice(a, b, step), f_integral_grid, "F")
-    report = count_zeros(z_oracle, a, b, step)
+    # z_oracle is looked up at each call, so a wrapper set on this
+    # module's name sees every evaluation
+    report = count_zeros(lambda u: z_oracle(u)[0], a, b, step)
     delta = track.delta
     verdict = bool(abs(delta) / math.pi < report.count + 1)
     return ZeroScanReport((a, b), report.zeros, report.count, delta, verdict)
@@ -327,7 +337,7 @@ def _arg_h_track(t_end: float, step: float, anchors: np.ndarray) -> PhaseTrack:
     locally.  A track over the work budget is refused from its point
     count, at most (t_end - 1)/step lattice points plus the anchors,
     before the grid is built."""
-    h_grid_terms(t_end, math.ceil((t_end - 1.0) / step) + anchors.size)
+    h_grid_terms(t_end, _lattice_size(1.0, t_end, step) - 1 + anchors.size)
     grid = np.unique(np.concatenate([_lattice(1.0, t_end, step), anchors]))
     return _refined_track(grid, h_series_grid, "H")
 

@@ -14,8 +14,9 @@ where m_r is the sech derivative factor above.  The leading series H = H_0
 drives the approximation Z(t) ~ (t/2pi)^{7/4} Re{e^{i theta(t)} H(t)}
 (z_approx), and g_series assembles the full bracket G of H_0..H_4 that
 mirrors the L1 polynomial of the staged integrals; z_g is Re G over the
-denominator of Z.  The two Z routes take their tail target and return
-their est in Z units.
+denominator of Z.  Each function takes its tail target as one float eps
+in (0, 1e-3] (_angles.EPS_MAX): h_r_series_info and g_series in the
+units of H, the two Z routes in Z units, which also return their est.
 """
 from __future__ import annotations
 
@@ -31,12 +32,9 @@ from .phase import rho0, theta, theta_mod_2pi, z_denominator
 
 __all__ = [
     "EulerianB",
-    "SeriesTolerance",
     "eulerian_b",
     "fourier_cosh_moment",
-    "h_r_series",
     "h_r_series_info",
-    "h_series",
     "h_series_grid",
     "z_approx",
     "g_series",
@@ -44,19 +42,6 @@ __all__ = [
 ]
 
 _N_CAP = 500_000  # term-count cap of one H_r series and of the H grid
-
-
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Absolute tail target for the H_r series."""
-    eps: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.eps <= 1e-3:
-            raise ValueError("eps must be in (0, 1e-3]")
-
-
-_DEFAULT_TOL = SeriesTolerance()
 
 
 @dataclass(frozen=True)
@@ -96,14 +81,6 @@ def eulerian_b(n: int) -> EulerianB:
     return EulerianB(n, tuple(out))
 
 
-def _b_at_minus(r: int, u):
-    """B_r(-u) by Horner; u scalar or array."""
-    acc = np.zeros_like(np.asarray(u, dtype=float))
-    for c in reversed(eulerian_b(r).coeffs):
-        acc = acc * (-u) + c
-    return acc
-
-
 def _m_r(y, r: int):
     """(-1)^r (d/dy)^r sech(y), the moment factor.
 
@@ -114,7 +91,7 @@ def _m_r(y, r: int):
     ay = np.abs(y)
     with np.errstate(under="ignore"):
         u = np.exp(-2.0 * ay)
-        val = 2.0 * np.exp(-ay) * _b_at_minus(r, u) / (1.0 + u) ** (r + 1)
+        val = 2.0 * np.exp(-ay) * eulerian_b(r).value(-u) / (1.0 + u) ** (r + 1)
     if r % 2:
         val = np.where(y < 0.0, -val, val)
     return val
@@ -144,7 +121,7 @@ def _tail_const(r: int) -> float:
     the max over [0,1] is already the global sup; fine grid + 0.1% headroom.
     """
     u = np.linspace(0.0, 1.0, 4001)
-    g = np.abs(_b_at_minus(r, u)) / (1.0 + u) ** r
+    g = np.abs(eulerian_b(r).value(-u)) / (1.0 + u) ** r
     return float(np.max(g)) * 1.001
 
 
@@ -164,16 +141,24 @@ def _n_terms(t: float, r: int, log_eps: float, what: str) -> int:
     return n_terms
 
 
-def h_r_series_info(t: float, r: int,
-                    tol: SeriesTolerance | None = None
+def h_r_series_info(t: float, r: int, eps: float = 1e-10
                     ) -> tuple[complex, int, float]:
-    """h_r_series plus its term count and the tail bound actually achieved."""
-    tol = tol or _DEFAULT_TOL
+    """H_r(t) = (7i/2)^r sum_n n^{-4-it} m_r(y_n), truncated at the first N
+    whose proven tail bound drops below eps: (value, N, the tail bound of
+    N terms).  H = H_0 has the term factor 2/((t/2pi n^2)^{7/4} +
+    (t/2pi n^2)^{-7/4}), which is exactly sech(y_n) and is evaluated in
+    that stable form.
+
+    Phases of n^{-it} are reduced mod 2pi in extended precision; the real
+    and imaginary sums are exactly rounded (fsum), so the result is
+    deterministic and independent of summation order.
+    """
+    _angles.check_eps(eps)
     if not t > 0.0:
-        raise ValueError("h_r_series requires t > 0")
+        raise ValueError("h_r_series_info requires t > 0")
     if not 0 <= r <= 8:
-        raise ValueError("h_r_series supports 0 <= r <= 8")
-    n_terms = _n_terms(t, r, math.log(tol.eps), f"H_{r}({t:g})")
+        raise ValueError("h_r_series_info supports 0 <= r <= 8")
+    n_terms = _n_terms(t, r, math.log(eps), f"H_{r}({t:g})")
     n = np.arange(1, n_terms + 1, dtype=float)
     # cancellation-free form of y_n = (7/4) log(t/(2 pi n^2))
     y = 1.75 * (math.log(t) - _angles.LOG_2PI - 2.0 * np.log(n))
@@ -184,36 +169,17 @@ def h_r_series_info(t: float, r: int,
     return value, n_terms, math.exp(_log_lead(t, r) - 6.5 * math.log(n_terms)) / 6.5
 
 
-def h_r_series(t: float, r: int, tol: SeriesTolerance | None = None) -> complex:
-    """H_r(t) = (7i/2)^r sum_n n^{-4-it} m_r(y_n), truncated at the first N
-    whose proven tail bound drops below tol.eps.
-
-    Phases of n^{-it} are reduced mod 2pi in extended precision; the real
-    and imaginary sums are exactly rounded (fsum), so the result is
-    deterministic and independent of summation order.
-    """
-    value, _, _ = h_r_series_info(t, r, tol)
-    return value
-
-
-def h_series(t: float, tol: SeriesTolerance | None = None) -> complex:
-    """H(t) = H_0(t): term factor 2/((t/2pi n^2)^{7/4} + (t/2pi n^2)^{-7/4}),
-    which is exactly sech(y_n) and is evaluated in that stable form."""
-    value, _, _ = h_r_series_info(t, 0, tol)
-    return value
-
-
 def h_grid_terms(t_max: float, points: int) -> int:
     """Term count of an H grid whose largest t is t_max; refuses
     (ConvergenceError) a count above the cap, or `points` points of it
     above the work budget, before anything is allocated."""
-    n_terms = _n_terms(t_max, 0, math.log(_DEFAULT_TOL.eps), "H grid")
+    n_terms = _n_terms(t_max, 0, math.log(1e-10), "H grid")
     _angles.check_work(points, n_terms)
     return n_terms
 
 
 def h_series_grid(ts) -> np.ndarray:
-    """H(t) over an array of t > 0 at the default tolerance, sharing one
+    """H(t) over an array of t > 0 at the default eps 1e-10, sharing one
     term range (sized for the largest t); refused over the work budget.
 
     One _angles.dirichlet_sums call, with the amplitude n^-4 sech(y_n):
@@ -247,14 +213,13 @@ def h_series_grid(ts) -> np.ndarray:
         taylor_rows, shift)
 
 
-def _h_tolerance(t: float, eps: float) -> SeriesTolerance:
-    """The tolerance of H for a target eps in Z units, scaled by the
+def _h_eps(t: float, eps: float) -> float:
+    """The eps of H for a target eps in Z units, scaled by the
     (t/2pi)^{-7/4} the series runs before; refused first over H_0's cap,
     so that the scaled target never underflows (it would near t = 1e200)."""
-    if not 0.0 < eps <= 1e-3:
-        raise ValueError("eps must be in (0, 1e-3]")
+    _angles.check_eps(eps)
     _n_terms(t, 0, math.log(eps) - 1.75 * math.log(t / (2.0 * math.pi)), f"H_0({t:g})")
-    return SeriesTolerance(eps=eps * (2.0 * math.pi / t) ** 1.75)
+    return eps * (2.0 * math.pi / t) ** 1.75
 
 
 def _series_est(t: float, eps: float, value: float, amp: float) -> float:
@@ -271,25 +236,25 @@ def z_approx(t: float, eps: float = 1e-10) -> tuple[float, float]:
     if t < 10.0:
         raise ValueError("z_approx requires t >= 10")
     ph = theta_mod_2pi(t)
-    h = h_series(t, _h_tolerance(t, eps))
+    h = h_r_series_info(t, 0, _h_eps(t, eps))[0]
     scale = (t / (2.0 * math.pi)) ** 1.75
     value = scale * (math.cos(ph) * h.real - math.sin(ph) * h.imag)
     return value, _series_est(t, eps, value, scale * abs(h))
 
 
-def g_series(t: float, tol: SeriesTolerance | None = None) -> complex:
+def g_series(t: float, eps: float = 1e-10) -> complex:
     """The series route to the full-line staged integral (stage 4):
 
         e^{i theta} rho0 (H0 + 15H1/4t + iH2/4t + 165H2/32t^2
                           + 241iH1/24t^2 + 41iH3/48t^2 - H4/32t^2),
 
-    the bracket mirroring the L1 polynomial with x^r replaced by H_r.
-    Exists to cross-validate the integral and series representations, not
-    as a production evaluator.
+    the bracket mirroring the L1 polynomial with x^r replaced by H_r, for
+    a tail target eps of the bracket.  Exists to cross-validate the
+    integral and series representations, not as a production evaluator.
     """
     if t < 20.0:
         raise ValueError("g_series requires t >= 20")
-    tol = tol or _DEFAULT_TOL
+    _angles.check_eps(eps)
     t2 = t * t
     # sum of |coefficients| of H_1..H_4 in the bracket: H_0 gets eps/2 and
     # each H_r eps/(8 w_r), so the bracket's tail error stays below eps
@@ -297,9 +262,8 @@ def g_series(t: float, tol: SeriesTolerance | None = None) -> complex:
                1.0 / (4.0 * t) + 165.0 / (32.0 * t2),
                41.0 / (48.0 * t2),
                1.0 / (32.0 * t2))
-    tols = [SeriesTolerance(0.5 * tol.eps)] + [
-        SeriesTolerance(min(1e-3, tol.eps / (8.0 * w))) for w in weights]
-    h = [h_r_series(t, r, tol_r) for r, tol_r in enumerate(tols)]
+    epss = [0.5 * eps] + [min(_angles.EPS_MAX, eps / (8.0 * w)) for w in weights]
+    h = [h_r_series_info(t, r, eps_r)[0] for r, eps_r in enumerate(epss)]
     bracket = (h[0]
                + 15.0 * h[1] / (4.0 * t) + 1j * h[2] / (4.0 * t)
                + 165.0 * h[2] / (32.0 * t2) + 241j * h[1] / (24.0 * t2)
@@ -314,7 +278,7 @@ def z_g(t: float, eps: float = 1e-10) -> tuple[float, float]:
     units."""
     if t < 20.0:
         raise ValueError("z_g requires t >= 20")
-    zg = g_series(t, _h_tolerance(t, eps))
+    zg = g_series(t, _h_eps(t, eps))
     den = z_denominator(t)
     value = zg.real / den
     return value, _series_est(t, eps, value, abs(zg) / den)

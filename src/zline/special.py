@@ -15,20 +15,18 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from . import _angles
-from .errors import AccuracyWarning, ConvergenceError
+from .errors import ConvergenceError
 
 __all__ = [
     "ln_gamma",
     "zeta",
     "rs_theta",
     "z_oracle",
-    "z_oracle_info",
     "oracle_terms",
     "upper_incomplete_gamma",
 ]
@@ -292,27 +290,18 @@ def oracle_terms(a: float, b: float) -> int:
     return max(em, int(math.sqrt(b / (2.0 * math.pi))) if b > _EM_SWITCH else 0)
 
 
-def z_oracle_info(t: float):
-    """Z(t) plus an estimate of its absolute error: (value, est).  A main
-    sum over the work budget (t above ~2.9e19) is refused before it exists."""
+def z_oracle(t: float) -> tuple[float, float]:
+    """The Riemann-Siegel Z function, Z(t) = e^{i theta(t)} zeta(1/2+it),
+    and an estimate of its absolute error: (value, est).
+
+    Euler-Maclaurin up to t = 500, Riemann-Siegel main sum with C0..C2
+    corrections above.  A main sum over the work budget (t above ~2.9e19)
+    is refused before it exists.
+    """
     t = abs(float(t))  # Z is even by construction
     if t <= _EM_SWITCH:
         return _z_em(t)
     return _z_rs(t)
-
-
-def z_oracle(t: float) -> float:
-    """The Riemann-Siegel Z function, Z(t) = e^{i theta(t)} zeta(1/2+it).
-
-    Euler-Maclaurin up to t = 500, Riemann-Siegel main sum with C0..C2
-    corrections above.  Warns (AccuracyWarning) if the estimated error
-    exceeds 1e-6.
-    """
-    val, est = z_oracle_info(t)
-    if est > 1e-6:
-        warnings.warn(f"z_oracle({t:g}): estimated error {est:.2e} > 1e-6",
-                      AccuracyWarning, stacklevel=2)
-    return val
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Package layout, read from the source with ast (nothing is imported):
-no zline module reaches into another one's private names, and the
-package's __all__ is exactly the union of its modules' __all__."""
+no zline module reaches into another one's private names, the package's
+__all__ is exactly the union of its modules' __all__, and the functions
+the benchmark's per-layer tracer wraps by name exist."""
 import ast
 from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "zline"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "zline"
 _FILES = sorted(_SRC.glob("*.py"))
 _MODULES = {p.stem for p in _FILES if p.stem != "__init__"}
 
@@ -95,3 +97,40 @@ def test_package_all_matches_module_all():
                for name in names if name not in package}
     assert missing == set()
     assert set(package) - {"__version__"} - exported == set()
+
+
+def _hooks():
+    """(module stem, function, layer, has a counter) of every entry of the
+    HOOKS table of zbench/spans.py, read from its source."""
+    for node in _tree(_ROOT / "zbench" / "spans.py").body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)):
+            out = []
+            for entry in node.value.elts:
+                module, function, layer = map(ast.literal_eval, entry.elts[:3])
+                counter = entry.elts[3]
+                counted = not (isinstance(counter, ast.Constant) and counter.value is None)
+                out.append((module.split(".", 1)[1], function, layer, counted))
+            return out
+    raise AssertionError("zbench/spans.py has no HOOKS table")
+
+
+def _functions(stem: str) -> set:
+    """The top-level function names of src/zline/<stem>.py."""
+    return {node.name for node in _tree(_SRC / f"{stem}.py").body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_benchmark_hooks_name_live_functions():
+    # the tracer wraps these functions by name and skips a name that is
+    # gone, so a rename would read 0 in a metric instead of failing
+    hooks = _hooks()
+    live = {(stem, function) for stem, function, _, _ in hooks
+            if function in _functions(stem)}
+    dead_counters = [f"{stem}.{function}" for stem, function, _, counted in hooks
+                     if counted and (stem, function) not in live]
+    assert dead_counters == []
+    layers = {layer for _, _, layer, _ in hooks}
+    live_layers = {layer for stem, function, layer, _ in hooks
+                   if (stem, function) in live}
+    assert layers - live_layers == set()

@@ -108,18 +108,18 @@ def test_count_zeros_guards():
 
 
 def test_count_zeros_z_below_first():
-    assert count_zeros(z_oracle, 0.0, 10.0).count == 0
+    assert count_zeros(lambda t: z_oracle(t)[0], 0.0, 10.0).count == 0
 
 
 def test_count_zeros_z_first_three():
-    report = count_zeros(z_oracle, 10.0, 30.0)
+    report = count_zeros(lambda t: z_oracle(t)[0], 10.0, 30.0)
     assert report.count == 3
     for found, ref in zip(report.zeros, FIRST_ZEROS):
         assert abs(found - ref) < 1e-8
 
 
 def test_count_agreement_with_series_route():
-    a = count_zeros(z_oracle, 100.0, 160.0).count
+    a = count_zeros(lambda t: z_oracle(t)[0], 100.0, 160.0).count
     b = count_zeros(lambda t: z_approx(t)[0], 100.0, 160.0).count
     assert a == b == 29
 
@@ -160,7 +160,7 @@ def test_track_sign_pattern_matches_oracle():
     # Re F is Z times a positive factor, so the sign patterns coincide
     grid = np.append(np.arange(10.0, 40.0, 0.05), 40.0)
     vals = f_integral_grid(grid)
-    oracle_signs = np.sign([z_oracle(float(t)) for t in grid])
+    oracle_signs = np.sign([z_oracle(float(t))[0] for t in grid])
     assert np.array_equal(np.sign(vals.real), oracle_signs)
 
 

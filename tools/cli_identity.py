@@ -73,7 +73,11 @@ def commands() -> list:
              ("xray", "--re0", "1", "--re1", "inf", "--im0", "-1", "--im1", "1"),
              # over the term cap of H: exit 3 before any tolerance is scaled
              _eval("1e88", "approx"), _eval("1e88", "g"), _eval("1e177", "g"),
-             _eval("1e200", "approx"), _eval("1e200", "g"), ("hstat", "--t", "1e172")]
+             _eval("1e200", "approx"), _eval("1e200", "g"), ("hstat", "--t", "1e172"),
+             # steps so small that the point count overflows a float: exit 3
+             ("hstat", "--t", "1e3", "--step", "1e-308"),
+             ("scan", "--from", "10", "--to", "20", "--step", "1e-320"),
+             ("hstat", "--t", "1e5", "--step", "1e-303")]
     return cmds
 
 
