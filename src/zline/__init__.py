@@ -21,7 +21,7 @@ from .special import (
 )
 from .phase import (
     ALPHA_SERIES,
-    BERNOULLI_EVEN,
+    L1_TERMS,
     LOG_RHO_SERIES,
     AsymptoticSeries,
     PhasePolar,
@@ -81,7 +81,7 @@ __all__ = [
     "z_oracle",
     "zeta",
     "ALPHA_SERIES",
-    "BERNOULLI_EVEN",
+    "L1_TERMS",
     "LOG_RHO_SERIES",
     "AsymptoticSeries",
     "PhasePolar",

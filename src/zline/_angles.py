@@ -141,15 +141,10 @@ def cis(p, out=None) -> np.ndarray:
     return out
 
 
-def cis_from_ld(phi) -> np.ndarray:
-    """exp(i*phi) for longdouble phase(s), computed after reduction."""
-    return cis(reduce_mod_2pi(phi))
-
-
 def n_pow_minus_it(t, log_n) -> np.ndarray:
     """n^{-it} = exp(-i t log n) for every pair of t and longdouble
     log_n = log_ld(n): shape np.shape(t) + np.shape(log_n)."""
-    # cis_from_ld spelled out, so that the longdouble phases are freed
+    # the longdouble phases are a temporary, freed once reduced and so
     # before cos and sin allocate
     return cis(reduce_mod_2pi(np.multiply.outer(-as_ld(t), log_n)))
 

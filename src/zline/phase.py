@@ -23,7 +23,7 @@ __all__ = [
     "AsymptoticSeries",
     "LOG_RHO_SERIES",
     "ALPHA_SERIES",
-    "BERNOULLI_EVEN",
+    "L1_TERMS",
     "h_exact",
     "h_polar",
     "log_rho_asymptotic",
@@ -89,8 +89,16 @@ ALPHA_SERIES = AsymptoticSeries(
     coefs=(-241.0 / 24.0, 41279.0 / 720.0, -2348641.0 / 2520.0),
 )
 
-#: Bernoulli numbers B_2..B_8 appearing in the alpha expansion's derivation
-BERNOULLI_EVEN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
+#: L1(x, t) - 1 as terms c x^r / (d t^k), times i where imaginary, listed
+#: as (r, c, d, k, imaginary) in the order the series bracket G sums them
+L1_TERMS = (
+    (1, 15.0, 4.0, 1, False),
+    (2, 1.0, 4.0, 1, True),
+    (2, 165.0, 32.0, 2, False),
+    (1, 241.0, 24.0, 2, True),
+    (3, 41.0, 48.0, 2, True),
+    (4, -1.0, 32.0, 2, False),
+)
 
 
 def _log_l(x):
@@ -202,16 +210,17 @@ def l1(x, t: float):
         1 + 15x/(4t) + ix^2/(4t) + 165x^2/(32t^2) + 241ix/(24t^2)
           + 41ix^3/(48t^2) - x^4/(32t^2)
 
-    Scalars or arrays in x.
+    that is 1 plus the terms of L1_TERMS.  Scalars or arrays in x.
     """
     if not t > 0.0:
         raise ValueError("l1 requires t > 0")
     x = np.asarray(x, dtype=float)
-    re = (1.0 + 15.0 * x / (4.0 * t) + 165.0 * x ** 2 / (32.0 * t ** 2)
-          - x ** 4 / (32.0 * t ** 2))
-    im = (x ** 2 / (4.0 * t) + 241.0 * x / (24.0 * t ** 2)
-          + 41.0 * x ** 3 / (48.0 * t ** 2))
+    re, im = 1.0, 0.0
+    for r, c, d, k, imaginary in L1_TERMS:
+        term = c * x ** r / (d * t ** k)
+        if imaginary:
+            im = im + term
+        else:
+            re = re + term
     out = re + 1j * im
-    if np.ndim(out) == 0:
-        return complex(out)
-    return out
+    return complex(out) if np.ndim(out) == 0 else out

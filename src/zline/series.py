@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _angles
 from .errors import ConvergenceError
-from .phase import rho0, theta, theta_mod_2pi, z_denominator
+from .phase import L1_TERMS, rho0, theta, theta_mod_2pi, z_denominator
 
 __all__ = [
     "EulerianB",
@@ -46,13 +46,8 @@ _N_CAP = 500_000  # term-count cap of one H_r series and of the H grid
 
 @dataclass(frozen=True)
 class EulerianB:
-    """Exact integer coefficients of B_n, ascending powers, degree n."""
-    n: int
+    """Exact integer coefficients of B_n, ascending powers."""
     coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.n + 1:
-            raise ValueError("coefficient count must be n + 1")
 
     def value(self, x):
         """Polynomial value at x (float arithmetic), scalars or arrays."""
@@ -69,7 +64,7 @@ def eulerian_b(n: int) -> EulerianB:
     if not 0 <= n <= 64:
         raise ValueError("eulerian_b supports 0 <= n <= 64")
     if n == 0:
-        return EulerianB(0, (1,))
+        return EulerianB((1,))
     prev = eulerian_b(n - 1).coeffs
     out = [0] * (n + 1)
     for k, c in enumerate(prev):
@@ -78,7 +73,7 @@ def eulerian_b(n: int) -> EulerianB:
             out[k + 1] -= 2 * k * c      # -2x^2 * B'
         out[k] += c
         out[k + 1] += (2 * n - 1) * c
-    return EulerianB(n, tuple(out))
+    return EulerianB(tuple(out))
 
 
 def _m_r(y, r: int):
@@ -244,30 +239,25 @@ def z_approx(t: float, eps: float = 1e-10) -> tuple[float, float]:
 
 def g_series(t: float, eps: float = 1e-10) -> complex:
     """The series route to the full-line staged integral (stage 4):
-
-        e^{i theta} rho0 (H0 + 15H1/4t + iH2/4t + 165H2/32t^2
-                          + 241iH1/24t^2 + 41iH3/48t^2 - H4/32t^2),
-
-    the bracket mirroring the L1 polynomial with x^r replaced by H_r, for
-    a tail target eps of the bracket.  Exists to cross-validate the
-    integral and series representations, not as a production evaluator.
+    e^{i theta} rho0 times the bracket, the L1 polynomial (L1_TERMS) with
+    x^r replaced by H_r, for a tail target eps of the bracket.  Exists to
+    cross-validate the integral and series representations, not as a
+    production evaluator.
     """
     if t < 20.0:
         raise ValueError("g_series requires t >= 20")
     _angles.check_eps(eps)
-    t2 = t * t
-    # sum of |coefficients| of H_1..H_4 in the bracket: H_0 gets eps/2 and
-    # each H_r eps/(8 w_r), so the bracket's tail error stays below eps
-    weights = (15.0 / (4.0 * t) + 241.0 / (24.0 * t2),
-               1.0 / (4.0 * t) + 165.0 / (32.0 * t2),
-               41.0 / (48.0 * t2),
-               1.0 / (32.0 * t2))
-    epss = [0.5 * eps] + [min(_angles.EPS_MAX, eps / (8.0 * w)) for w in weights]
+    t_k = (1.0, t, t * t)
+    # w_r, the sum of |coefficients| of H_r in the bracket: H_0 gets eps/2
+    # and each H_r eps/(8 w_r), so the bracket's tail error stays below eps
+    weights = [0.0] * 5
+    for r, c, d, k, _ in L1_TERMS:
+        weights[r] += abs(c) / (d * t_k[k])
+    epss = [0.5 * eps] + [min(_angles.EPS_MAX, eps / (8.0 * w)) for w in weights[1:]]
     h = [h_r_series_info(t, r, eps_r)[0] for r, eps_r in enumerate(epss)]
-    bracket = (h[0]
-               + 15.0 * h[1] / (4.0 * t) + 1j * h[2] / (4.0 * t)
-               + 165.0 * h[2] / (32.0 * t2) + 241j * h[1] / (24.0 * t2)
-               + 41j * h[3] / (48.0 * t2) - h[4] / (32.0 * t2))
+    bracket = h[0]
+    for r, c, d, k, imaginary in L1_TERMS:
+        bracket = bracket + (1j * c if imaginary else c) * h[r] / (d * t_k[k])
     ph = theta_mod_2pi(t)
     return rho0(t) * complex(math.cos(ph), math.sin(ph)) * bracket
 

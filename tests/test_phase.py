@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from zline import (
     ALPHA_SERIES,
-    BERNOULLI_EVEN,
     LOG_RHO_SERIES,
     PhasePolar,
     alpha_asymptotic,
@@ -117,7 +116,6 @@ def test_series_coefficient_tables():
     assert ALPHA_SERIES.powers == (1, 3, 5)
     assert ALPHA_SERIES.coefs == (-241.0 / 24.0, 41279.0 / 720.0,
                                   -2348641.0 / 2520.0)
-    assert BERNOULLI_EVEN == (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
 
 
 def test_series_order_guard():
@@ -223,6 +221,22 @@ def test_l1_exact_points():
 
 def test_l1_large_t_band():
     assert abs(l1(2.0, 1e6) - (1.0 + 7.5e-6 + 1e-6j)) <= 1e-10
+
+
+def test_l1_frozen_bits():
+    # the values before the terms moved into L1_TERMS, to the last bit
+    for (x, t), ref in (((0.3, 27.3), "(1.0418311118826231+0.0048971708999181515j)"),
+                        ((-7.25, 150.0), "(0.8269583279079861+0.06990166377314813j)"),
+                        ((41.0, 1e3), "(1.0741126250000002+0.47953172916666664j)"),
+                        ((3.5, 2.5e7), "(1.0000005250000934+1.2250011482916665e-07j)")):
+        assert repr(l1(x, t)) == ref
+    vals = l1(np.array([-12.5, -0.75, 0.0, 2.0, 19.125]), 61.0)
+    assert [repr(complex(v)) for v in vals] == [
+        "(0.24303940053077133+0.1582900821911673j)",
+        "(0.9546702507201525+0.0001844997144584789j)",
+        "(1+0j)",
+        "(1.1283593120128996+0.023627161157394966j)",
+        "(1.559004935613405+3.1564356479168065j)"]
 
 
 def test_l1_vectorized_and_domain():

@@ -28,7 +28,7 @@ from zline import (
 )
 
 from zline import _angles
-from zline.scan import _h_complex
+from zline.scan import _h_complex, _refined_track
 
 FIRST_ZEROS = (14.134725141734695, 21.022039638771554, 25.010857580145688)
 
@@ -77,18 +77,22 @@ def test_phase_track_validation():
 
 def test_zero_scan_report_validation():
     with pytest.raises(ValueError):
-        ZeroScanReport((1.0, 0.0), np.array([]), 0)
+        ZeroScanReport((1.0, 0.0), np.array([]))
     with pytest.raises(ValueError):
-        ZeroScanReport((0.0, 1.0), np.array([0.5]), 2)
+        ZeroScanReport((0.0, 1.0), np.array([0.7, 0.3]))
     with pytest.raises(ValueError):
-        ZeroScanReport((0.0, 1.0), np.array([0.7, 0.3]), 2)
-    with pytest.raises(ValueError):
-        ZeroScanReport((0.0, 1.0), np.array([1.5]), 1)
-    with pytest.raises(ValueError):
-        ZeroScanReport((0.0, 1.0), np.array([0.5]), 1, delta_phi=1.0)
-    with pytest.raises(ValueError):
-        ZeroScanReport((0.0, 1.0), np.array([0.5]), 1,
-                       delta_phi=10.0 * math.pi, verdict=True)
+        ZeroScanReport((0.0, 1.0), np.array([1.5]))
+
+
+def test_zero_scan_report_derived_fields():
+    zeros = np.array([0.25, 0.5])
+    report = ZeroScanReport((0.0, 1.0), zeros)
+    assert report.count == 2 and type(report.count) is int
+    assert report.verdict is None
+    # the counting inequality |delta_phi| / pi < count + 1, on both sides
+    assert ZeroScanReport((0.0, 1.0), zeros, -2.999 * math.pi).verdict is True
+    assert ZeroScanReport((0.0, 1.0), zeros, 3.001 * math.pi).verdict is False
+    assert ZeroScanReport((0.0, 1.0), np.array([]), 0.0).verdict is True
 
 
 # ------------------------------------------------------------- count_zeros
@@ -231,6 +235,34 @@ def test_perturbation_wide_interval():
     except (ValueError, PhaseTrackError):
         pytest.skip("dominance hypothesis fails inside [100, 120]")
     assert verdict is True
+
+
+def _fast_phase(t):
+    """A slow rotation plus a turn by pi within ~1e-3 of t = 1.0123."""
+    return 0.3 * t + np.arctan((t - 1.0123) / 1e-3)
+
+
+def test_refined_track_on_one_fast_interval():
+    grid = np.append(np.arange(0.0, 2.0, 0.05), 2.0)
+    calls = []
+
+    def evaluate(ts):
+        calls.append(ts.size)
+        return 2.0 * np.exp(1j * _fast_phase(ts))
+
+    track = _refined_track(grid, evaluate, "S")
+    assert len(calls) > 2 and track.grid.size == sum(calls)
+    assert np.all(np.isin(grid, track.grid))
+    assert np.all(np.diff(track.grid) > 0.0)
+    assert np.max(np.abs(track.phase - _fast_phase(track.grid))) < 1e-12
+
+
+def test_refined_track_names_the_unresolved_step():
+    # a sign flip is a jump of pi that no refinement resolves
+    grid = np.append(np.arange(0.0, 2.0, 0.05), 2.0)
+    with pytest.raises(PhaseTrackError,
+                       match=r"arg S steps \+3\.142 rad between t=1\.0123 and t=1\.0123"):
+        _refined_track(grid, lambda ts: np.where(ts < 1.0123, 1.0, -1.0) + 0j, "S")
 
 
 # ---------------------------------------------------------- c statistic

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from zline import (
     ConvergenceError,
-    EulerianB,
     eulerian_b,
     fourier_cosh_moment,
     g_series,
@@ -62,11 +61,6 @@ def test_eulerian_cap():
         eulerian_b(65)
     with pytest.raises(ValueError):
         eulerian_b(-1)
-
-
-def test_eulerian_type_validation():
-    with pytest.raises(ValueError):
-        EulerianB(2, (1, 6))
 
 
 def test_generating_identity():
@@ -294,6 +288,14 @@ def test_g_series_at_1e8():
     # tolerance asked H_4 for 602,595 terms here, above the cap
     t = 1e8
     assert abs(z_g(t, 1e-10)[0] - z_oracle(t)[0]) <= t ** -0.75
+
+
+def test_g_series_frozen_bits():
+    # the values before the bracket and its weights read L1_TERMS
+    for t, ref in ((27.3, "(2059.010809937751-691.9045421348765j)"),
+                   (1e3, "(997798.023279344-1590337.3980451077j)"),
+                   (1e5, "(58795368628.746796-55821331814.75268j)")):
+        assert repr(g_series(t)) == ref
 
 
 def test_g_series_leading_part():

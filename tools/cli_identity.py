@@ -58,10 +58,13 @@ def commands() -> list:
              ("table", "--rows", "10,1e8")]
     scans = (("10", "30"), ("10", "30", "--json"), ("50", "60", "--json"),
              ("274", "284", "--step", "0.025"), ("400", "430"), ("14.2", "20.9"),
-             ("10.001", "20.001"), ("1590", "1600"))
+             ("10.001", "20.001"), ("1590", "1600"),
+             # the near-zero of F at t ~ 111.87 forces refinement rounds
+             ("108", "114", "--json"))
     cmds += [("scan", "--from", a, "--to", b, *rest) for a, b, *rest in scans]
     cmds += [("hstat", "--t", "1000"), ("hstat", "--t", "150", "--json"),
-             ("hstat", "--t", "2745.3"), ("hstat", "--t", "4321", "--json")]
+             ("hstat", "--t", "2745.3"), ("hstat", "--t", "4321", "--json"),
+             ("hstat", "--t", "15000", "--json")]
     cmds += [("xray", "--re0", r0, "--re1", r1, "--im0", i0, "--im1", i1, "--n", n)
              for r0, r1, i0, i1, n in _XRAY_BOXES]
     # refusals and usage errors
