@@ -60,7 +60,6 @@ from .scan import (
     PhaseTrack,
     XrayGrid,
     ZeroScanReport,
-    c_statistic,
     c_statistic_profile,
     continuous_arg,
     count_zeros,
@@ -114,7 +113,6 @@ __all__ = [
     "PhaseTrack",
     "XrayGrid",
     "ZeroScanReport",
-    "c_statistic",
     "c_statistic_profile",
     "continuous_arg",
     "count_zeros",

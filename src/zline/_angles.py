@@ -1,12 +1,16 @@
-"""The n^{-it} kernel and the phase constants of the Dirichlet sums.
+"""The n^{-it} kernel, and every phase formed in extended precision.
 
 Every route to Z sums n^{-it} times an amplitude: zeta(4+ix) inside F, the
 Riemann-Siegel main sum of the oracle, and the series H on and off the
 critical line.  At t = 1e8 the phase t*log(n) reaches ~2e9 rad, and its
 reduction mod 2pi in double precision would cost ~1e-7 rad, visible in Z.
-So n_pow_minus_it forms and reduces the phase in numpy.longdouble (80-bit
-extended on x86-64) and converts only the reduced phase back to double;
-where longdouble is plain double the phase error is correspondingly larger.
+So phases are formed and reduced in numpy.longdouble (80-bit on x86-64)
+here and nowhere else: n^{-it} (n_pow_minus_it), the paper's theta
+(theta_mod_2pi, which phase re-exports), the Riemann-Siegel main sum
+(rs_main_sum), whose vartheta shares theta's Stirling form, and
+(t/2pi)^{iu/2} (sqrt_scale_pow_iu).
+Only reduced phases leave as double; where longdouble is plain double the
+phase error is correspondingly larger.
 dirichlet_sums takes a caller's amplitudes and returns the sums of zeta
 and of the H grid.  Its samples on a uniform lattice of t go through
 lattice_sums, with one exact phase per block of nodes and the nodes inside
@@ -15,12 +19,12 @@ the term count N (an amplitude that moves with t, H's sech factor, as
 Taylor rows about the block's centre, from sech_taylor; the x-ray uses
 them on its tiles too).  The other samples are summed directly, in blocks
 of rows and terms under ROW_ELEMS elements.  This module also holds what
-the sums share: log 2pi, the longdouble theta, the power-of-two term
-bucket, the Euler-Maclaurin tail with zeta's one term rule (em_terms, from
-the first term the tail leaves out), the work budget of every points x
-terms sum, the bound (0, EPS_MAX] of every tail target eps with its one
-check, and the tables kept between calls, read-only, up to
-RETAIN_TERMS (16384) terms: the last step matrix (16 MB) and n with log n
+the sums share: log 2pi, the power-of-two term bucket, the
+Euler-Maclaurin tail with zeta's one term rule (em_terms, from the first
+term the tail leaves out), the work budget of every points x terms sum,
+the bound (0, EPS_MAX] of every tail target eps with its one check, and
+the tables kept between calls, read-only, up to RETAIN_TERMS (16384)
+terms: the last step matrix (16 MB) and n with log n per power of two
 (terms); larger ones are built per call and kept by nobody.
 """
 from __future__ import annotations
@@ -34,9 +38,9 @@ import numpy as np
 from .errors import ConvergenceError
 
 # more digits than longdouble can hold; strtold rounds once
-TWO_PI = np.longdouble("6.283185307179586476925286766559005768394")
-PI = np.longdouble("3.141592653589793238462643383279502884197")
-LOG_2PI_LD = np.longdouble("1.837877066409345483560659472811235279723")
+_TWO_PI = np.longdouble("6.283185307179586476925286766559005768394")
+_PI = np.longdouble("3.141592653589793238462643383279502884197")
+_LOG_2PI_LD = np.longdouble("1.837877066409345483560659472811235279723")
 #: log(2*pi) correctly rounded to float64
 LOG_2PI = 1.8378770664093454835606594728112352797
 
@@ -76,14 +80,14 @@ _EM_COEF = (
 _EM_NEXT = 1.0 / 47900160.0  # B10/10!, the first term em_tail leaves out
 
 
-def as_ld(x):
+def _as_ld(x):
     """Convert to longdouble without a round trip through double literals."""
     return np.asarray(x, dtype=np.longdouble)
 
 
-def log_ld(x):
+def _log_ld(x):
     """Natural log evaluated in longdouble."""
-    return np.log(as_ld(x))
+    return np.log(_as_ld(x))
 
 
 def reduce_mod_2pi(phi) -> np.ndarray:
@@ -92,13 +96,13 @@ def reduce_mod_2pi(phi) -> np.ndarray:
     fmod is exactly rounded, so the only systematic error is the longdouble
     rounding of the 2pi constant itself: ~1e-11 rad after ~1e8 turns.
     """
-    r = np.fmod(as_ld(phi), TWO_PI)
+    r = np.fmod(_as_ld(phi), _TWO_PI)
     return np.asarray(r, dtype=np.float64)
 
 
 def ld_ulp(x: float) -> float:
     """Spacing of longdouble at |x| (2^-63 |x| within a factor 2 on x87)."""
-    return float(np.spacing(as_ld(abs(x))))
+    return float(np.spacing(_as_ld(abs(x))))
 
 
 def check_eps(eps: float) -> None:
@@ -143,10 +147,10 @@ def cis(p, out=None) -> np.ndarray:
 
 def n_pow_minus_it(t, log_n) -> np.ndarray:
     """n^{-it} = exp(-i t log n) for every pair of t and longdouble
-    log_n = log_ld(n): shape np.shape(t) + np.shape(log_n)."""
+    log_n, as terms gives it: shape np.shape(t) + np.shape(log_n)."""
     # the longdouble phases are a temporary, freed once reduced and so
     # before cos and sin allocate
-    return cis(reduce_mod_2pi(np.multiply.outer(-as_ld(t), log_n)))
+    return cis(reduce_mod_2pi(np.multiply.outer(-_as_ld(t), log_n)))
 
 
 @lru_cache(maxsize=None)
@@ -201,27 +205,28 @@ def taylor_sum(rows, d):
     return acc
 
 
-# n = 1..N and log_ld(n), per term count N
+# n = 1..N and _log_ld(n), per power of two N up to RETAIN_TERMS
 _TERMS: dict = {}
 
 
 def terms(n_terms: int):
-    """(n, log_ld(n)) for n = 1..N, read-only, kept per N up to
-    RETAIN_TERMS; zeta and the x-ray count terms in powers of two, so all
-    that is kept stays under 1 MB.  log n is formed in parts of ROW_ELEMS,
-    so no longdouble copy of the whole of n exists."""
-    table = _TERMS.get(n_terms)
+    """(n, log n) for n = 1..N, read-only, log n in longdouble (formed in
+    parts of ROW_ELEMS): up to RETAIN_TERMS views [:N] of the kept table
+    of the power of two at or above N, so all kept (15 tables) is under
+    1 MB; above, exactly N terms built per call and kept by nobody."""
+    size = n_terms if n_terms > RETAIN_TERMS else pow2_bucket(n_terms, 1)
+    table = _TERMS.get(size)
     if table is None:
-        n = np.arange(1, n_terms + 1)
-        log_n = np.empty(n_terms, dtype=np.longdouble)
-        for k in range(0, n_terms, ROW_ELEMS):
-            np.log(as_ld(n[k:k + ROW_ELEMS]), out=log_n[k:k + ROW_ELEMS])
+        n = np.arange(1, size + 1)
+        log_n = np.empty(size, dtype=np.longdouble)
+        for k in range(0, size, ROW_ELEMS):
+            np.log(_as_ld(n[k:k + ROW_ELEMS]), out=log_n[k:k + ROW_ELEMS])
         table = (n, log_n)
         for a in table:
             a.flags.writeable = False
-        if n_terms <= RETAIN_TERMS:
-            _TERMS[n_terms] = table
-    return table
+        if size <= RETAIN_TERMS:
+            _TERMS[size] = table
+    return table[0][:n_terms], table[1][:n_terms]
 
 
 # the last step matrix _step_matrix built, under its (h, N)
@@ -229,7 +234,7 @@ _STEPS: dict = {}
 
 
 def _step_matrix(h: float, log_d) -> np.ndarray:
-    """The lattice step matrix n^{-ijh}, j = 0..B-1, for log_d = log_ld(n)
+    """The lattice step matrix n^{-ijh}, j = 0..B-1, for log_d = _log_ld(n)
     from n = N down to 1: shape (N, B), read-only.
 
     It is built in row blocks under ROW_ELEMS: allocated after the first
@@ -249,7 +254,7 @@ def _step_matrix(h: float, log_d) -> np.ndarray:
     steps = None
     for j0 in range(0, _LATTICE_BLOCK, chunk):
         phases = reduce_mod_2pi(np.multiply.outer(
-            -as_ld(h * np.arange(j0, min(j0 + chunk, _LATTICE_BLOCK))), log_d))
+            -_as_ld(h * np.arange(j0, min(j0 + chunk, _LATTICE_BLOCK))), log_d))
         if steps is None:
             steps = np.empty((_LATTICE_BLOCK, n_terms), dtype=complex)
         cis(phases, out=steps[j0:j0 + len(phases)])
@@ -388,7 +393,7 @@ def lattice_sums(x, amp, log_n, shift=None):
 
 
 def dirichlet_sums(x, log_n, direct, amp=None, shift=None) -> np.ndarray:
-    """sum_n a_n(x) n^{-ix} at every sample of x, for log_n = log_ld(n),
+    """sum_n a_n(x) n^{-ix} at every sample of x, for log_n = terms(N)[1],
     n = 1..N.  Given amp (and shift) in the form lattice_sums takes, the
     samples on a uniform lattice take that route, 65536 samples a call.
     Every other sample is summed directly from direct(rows, part), the
@@ -416,12 +421,48 @@ def dirichlet_sums(x, log_n, direct, amp=None, shift=None) -> np.ndarray:
     return out
 
 
-def vartheta_ld(t):
-    """special.rs_theta evaluated in longdouble (same truncation, tiny
-    rounding), for reduction mod 2pi at t ~ 1e8."""
-    tl = as_ld(t)
-    return (tl / 2 * (np.log(tl) - LOG_2PI_LD) - tl / 2 - PI / 8
-            + 1 / (48 * tl) + 7 / (5760 * tl ** 3))
+def _stirling_phase(tl, c0):
+    """t/2 (log t - log 2pi) - t/2 + c0 for longdouble tl: vartheta and the
+    paper's theta share it, and each adds its inverse powers of t after it."""
+    return tl / 2 * (np.log(tl) - _LOG_2PI_LD) - tl / 2 + c0
+
+
+def theta_mod_2pi(t):
+    """The paper's theta(t) = t/2 log(t/2pi) - t/2 + 15pi/8 - 241/(24t) mod
+    2pi, formed in longdouble: it reaches ~1e9 rad by t ~ 1e8, where double
+    would lose the phase.  Scalars (a float) or arrays (float64)."""
+    if np.any(np.asarray(t, dtype=float) < 10.0):
+        raise ValueError("theta_mod_2pi requires t >= 10")
+    tl = _as_ld(t)
+    out = reduce_mod_2pi(_stirling_phase(tl, 15 * _PI / 8) - 241 / (24 * tl))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def rs_main_sum(t: float, big_n: int) -> float:
+    """sum_{n <= N} cos(vartheta(t) - t log n) / sqrt(n), the Riemann-Siegel
+    main sum without its factor 2, vartheta = t/2 log(t/2pi) - t/2 - pi/8
+    + 1/(48t) + 7/(5760t^3), in chunks of ROW_ELEMS added in order of n:
+    views of the kept table up to RETAIN_TERMS, built chunk by chunk above."""
+    tl = _as_ld(t)
+    th = _stirling_phase(tl, -_PI / 8) + 1 / (48 * tl) + 7 / (5760 * tl ** 3)
+    kept = terms(big_n) if big_n <= RETAIN_TERMS else None
+    main = 0.0
+    for start in range(0, big_n, ROW_ELEMS):
+        if kept is None:
+            n = np.arange(start + 1, min(start + ROW_ELEMS, big_n) + 1)
+            log_n = _log_ld(n)
+        else:
+            n, log_n = (a[start:start + ROW_ELEMS] for a in kept)
+        ph = reduce_mod_2pi(th - tl * log_n)
+        main += float(np.sum(np.cos(ph) / np.sqrt(n)))
+    return main
+
+
+def sqrt_scale_pow_iu(t: float, u) -> np.ndarray:
+    """(t/2pi)^{iu/2} = exp(i u/2 (log t - log 2pi)) for float64 u, the
+    phase formed in longdouble and reduced mod 2pi."""
+    beta = 0.5 * (_log_ld(t) - _LOG_2PI_LD)
+    return cis(reduce_mod_2pi(beta * _as_ld(u)))
 
 
 def pow2_bucket(n: int, floor: int) -> int:
@@ -461,8 +502,8 @@ def em_tail(s, n_terms: int):
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     big_n = float(n_terms)
-    # log N from the kept table, which holds log_ld(N) bit for bit
-    log_big_n = terms(n_terms)[1][-1] if n_terms <= RETAIN_TERMS else log_ld(big_n)
+    # log N from the kept table, which holds _log_ld(N) bit for bit
+    log_big_n = terms(n_terms)[1][-1] if n_terms <= RETAIN_TERMS else _log_ld(big_n)
     n_pow_ms = big_n ** (-s.real) * n_pow_minus_it(s.imag, log_big_n)
     bracket = big_n / (s - 1.0) - 0.5
     poch = s  # s(s+1)...(s+2k-2), built incrementally

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _angles
+from ._angles import theta_mod_2pi  # formed in longdouble there
 from .special import ln_gamma
 
 __all__ = [
@@ -171,22 +172,6 @@ def theta(t):
     if np.any(np.asarray(t, dtype=float) < 10.0):
         raise ValueError("theta requires t >= 10 (1/t term degrades below)")
     return alpha_asymptotic(t, order=1)
-
-
-def theta_mod_2pi(t):
-    """theta(t) reduced mod 2pi, computed in extended precision.
-
-    The raw value reaches ~1e9 rad by t ~ 1e8; double evaluation would lose
-    the phase long before that.  Scalars or arrays; result is float64.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 10.0):
-        raise ValueError("theta_mod_2pi requires t >= 10")
-    tl = _angles.as_ld(t)
-    val = (tl / 2 * (_angles.log_ld(t) - _angles.LOG_2PI_LD) - tl / 2
-           + 15 * _angles.PI / 8 - 241 / (24 * tl))
-    out = _angles.reduce_mod_2pi(val)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def rho0(t):

@@ -391,8 +391,7 @@ def f_staged(t: float, stage: int, eps: float = 1e-10) -> complex:
     half4 = max(_stage4_half(t, eps), half1)
     half = half1 if stage == 3 else half4
     us = _window_nodes(0.0, -half, half, h)
-    beta = 0.5 * (_angles.log_ld(t) - _angles.LOG_2PI_LD)
-    y = (l1(us, t) * _angles.cis(_angles.reduce_mod_2pi(beta * _angles.as_ld(us)))
+    y = (l1(us, t) * _angles.sqrt_scale_pow_iu(t, us)
          * _zeta_to(t + us, t + half4) * kernel(us))
     integral = _trapz_fsum(y, us)
     th_t = theta_mod_2pi(t)

@@ -33,7 +33,6 @@ __all__ = [
     "count_zeros",
     "phase_count_check",
     "perturbation_phase_check",
-    "c_statistic",
     "c_statistic_profile",
     "xray_grid",
 ]
@@ -327,7 +326,10 @@ def _phase_scale(t: np.ndarray) -> np.ndarray:
 
 
 def c_statistic_profile(ts: Sequence[float], step: float = 0.05) -> np.ndarray:
-    """c at several heights from a single shared phase track."""
+    """Normalized decay rate c(t) = -arg H(t) / (t/2 log(t / 2 pi) - t/2)
+    at each t of ts (t >= 100), from one track of arg H from t = 1, the
+    continuation of the principal value where the series' first term
+    dominates.  Refinement only inserts points: every t stays on it."""
     ts_arr = np.unique(np.asarray(ts, dtype=float))
     if ts_arr.size == 0:
         raise ValueError("no evaluation points")
@@ -335,19 +337,7 @@ def c_statistic_profile(ts: Sequence[float], step: float = 0.05) -> np.ndarray:
         raise ValueError("the statistic needs t >= 100")
     track = _arg_h_track(float(ts_arr[-1]), step, ts_arr)
     idx = np.searchsorted(track.grid, ts_arr)
-    if not np.allclose(track.grid[idx], ts_arr, rtol=0.0, atol=0.0):
-        raise RuntimeError("evaluation points lost during refinement")
     return -track.phase[idx] / _phase_scale(ts_arr)
-
-
-def c_statistic(t: float, step: float = 0.05) -> float:
-    """Normalized decay rate of arg H, tracked continuously from t = 1.
-
-    Returns -arg H(t) / (t/2 log(t / 2 pi) - t/2); the argument is the
-    continuation of the principal value at t = 1, where the first term
-    of the series dominates.
-    """
-    return float(c_statistic_profile([float(t)], step)[0])
 
 
 def _xray_plan(z: np.ndarray, i0: int, i1: int, j0: int, j1: int):

@@ -154,10 +154,10 @@ def h_r_series_info(t: float, r: int, eps: float = 1e-10
     if not 0 <= r <= 8:
         raise ValueError("h_r_series_info supports 0 <= r <= 8")
     n_terms = _n_terms(t, r, math.log(eps), f"H_{r}({t:g})")
-    n = np.arange(1, n_terms + 1, dtype=float)
-    # cancellation-free form of y_n = (7/4) log(t/(2 pi n^2))
-    y = 1.75 * (math.log(t) - _angles.LOG_2PI - 2.0 * np.log(n))
-    terms = n ** -4.0 * _m_r(y, r) * _angles.n_pow_minus_it(t, _angles.log_ld(n))
+    n, log_n = _angles.terms(n_terms)
+    # y_n = (7/4) log(t/(2 pi n^2)) free of cancellation, freed before the phases
+    amp = _m_r(1.75 * (math.log(t) - _angles.LOG_2PI - 2.0 * np.log(n)), r) * n ** -4.0
+    terms = amp * _angles.n_pow_minus_it(t, log_n)
     # fsum straight from a memoryview: no list of N Python floats
     value = (3.5j) ** r * complex(math.fsum(memoryview(terms.real)),
                                   math.fsum(memoryview(terms.imag)))
@@ -192,7 +192,7 @@ def h_series_grid(ts) -> np.ndarray:
     if np.any(ts <= 0.0):
         raise ValueError("h_series_grid requires t > 0")
     n_terms = h_grid_terms(float(np.max(ts)), ts.size)
-    n = np.arange(1, n_terms + 1, dtype=float)
+    n, log_n_ld = _angles.terms(n_terms)
     log_n = np.log(n)
     inv_n4 = n ** -4.0
 
@@ -204,7 +204,7 @@ def h_series_grid(ts) -> np.ndarray:
         return 1.75 * np.log1p((t - c) / c)
 
     return _angles.dirichlet_sums(
-        ts, _angles.log_ld(n), lambda r, part: taylor_rows(ts[r], 0, part)[0],
+        ts, log_n_ld, lambda r, part: taylor_rows(ts[r], 0, part)[0],
         taylor_rows, shift)
 
 

@@ -118,19 +118,9 @@ def zeta(s, tol: float = 2.0 ** -52):
     from _angles.em_terms, so that the first term the tail leaves out is
     at most tol at the call's smallest Re s and largest |Im s|.  The
     default is one ulp of zeta ~ 1; the absolute error is about tol plus
-    the roundoff of the sum.  Accepts scalars or arrays; a call over the
-    work budget is refused (ConvergenceError) before it allocates."""
-    if np.ndim(s) == 0:
-        # one sample, the scalar oracle's: checked on the Python complex
-        z = complex(s)
-        if z.real <= 0.0:
-            raise ValueError("zeta requires Re s > 0")
-        if abs(z - 1.0) < 1e-10:
-            raise ValueError("zeta: s too close to the pole at s = 1")
-        if z.real < 2.0 and abs(z.imag) > _EM_CAP:
-            raise ValueError(f"zeta: |Im s| = {abs(z.imag):g} exceeds cap "
-                             f"{_EM_CAP:g} left of Re s = 2")
-        return complex(_zeta_em_core(z, _angles.em_terms(z.real, abs(z.imag), tol))[0])
+    the roundoff of the sum.  Arrays, or scalars (returning a complex); a
+    call over the work budget is refused (ConvergenceError) before it
+    allocates."""
     ss = np.asarray(s, dtype=complex)
     flat = ss.ravel()
     if np.any(flat.real <= 0.0):
@@ -145,7 +135,8 @@ def zeta(s, tol: float = 2.0 ** -52):
         return flat.reshape(ss.shape)
     n_terms = _angles.em_terms(float(flat.real.min()),
                                float(np.abs(flat.imag).max()), tol)
-    return _zeta_em_core(flat, n_terms).reshape(ss.shape)
+    out = _zeta_em_core(flat, n_terms)
+    return complex(out[0]) if ss.ndim == 0 else out.reshape(ss.shape)
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +240,8 @@ _RS_TRUNC_CONST = 2e-3
 
 
 def _z_em(t: float):
-    z = zeta(complex(0.5, t), _EM_TOL)
+    # zeta(1/2 + it): 0 <= t <= 500 lies in zeta's domain, so no checks
+    z = complex(_zeta_em_core(complex(0.5, t), _angles.em_terms(0.5, t, _EM_TOL))[0])
     if t >= 10.0:
         th = rs_theta(t)
         trunc = 31.0 / (80640.0 * t ** 5)
@@ -266,14 +258,8 @@ def _z_rs(t: float):
     big_n = int(a)
     _angles.check_work(1, big_n)
     p = a - big_n
-    th, tl = _angles.vartheta_ld(t), _angles.as_ld(t)
-    main = 0.0
-    for start in range(1, big_n + 1, _angles.ROW_ELEMS):
-        n = np.arange(start, min(start + _angles.ROW_ELEMS, big_n + 1))
-        ph = _angles.reduce_mod_2pi(th - tl * _angles.log_ld(n))
-        main += float(np.sum(np.cos(ph) / np.sqrt(n)))
     tail = sum(c * a ** (-j) for j, c in enumerate(_rs_corrections(p)))
-    val = 2.0 * main + (-1) ** (big_n - 1) * a ** -0.5 * tail
+    val = 2.0 * _angles.rs_main_sum(t, big_n) + (-1) ** (big_n - 1) * a ** -0.5 * tail
     # each phase theta - t log n carries up to 2 longdouble ulp of t log N,
     # in quadrature over the weights 2/sqrt(n): 4 ulp sqrt(1 + log N)
     log_n = math.log(big_n)

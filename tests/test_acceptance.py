@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from zline import (
-    c_statistic,
+    c_statistic_profile,
     cli,
     eulerian_b,
     f_integral,
@@ -169,8 +169,8 @@ def test_c09_zero_counts_match_phase_winding():
 
 def test_c10_phase_decay_statistic_converged():
     start = time.perf_counter()
-    c_coarse = c_statistic(15000.0, 0.05)
-    c_fine = c_statistic(15000.0, 0.025)
+    c_coarse = c_statistic_profile([15000.0], 0.05)[0]
+    c_fine = c_statistic_profile([15000.0], 0.025)[0]
     elapsed = time.perf_counter() - start
     assert 0.24 <= c_coarse <= 0.31
     assert abs(c_coarse - c_fine) <= 1e-6

@@ -7,7 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zline import ConvergenceError, _angles, quad, zeta
+from zline import (
+    ConvergenceError,
+    _angles,
+    h_r_series_info,
+    oracle_terms,
+    quad,
+    z_oracle,
+    zeta,
+)
 from zline.special import _zeta_em_core
 
 _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
@@ -33,7 +41,7 @@ def _reference_phases(ts, n_max):
 
 def test_kernel_matches_decimal_phases():
     n = np.arange(1, _N_MAX + 1)
-    got = _angles.n_pow_minus_it(np.array(_TS), _angles.log_ld(n))
+    got = _angles.n_pow_minus_it(np.array(_TS), _angles._log_ld(n))
     assert got.shape == (len(_TS), _N_MAX)
     ref = _reference_phases(_TS, _N_MAX)
     err = np.abs(np.angle(got * np.exp(-1j * ref)))
@@ -42,7 +50,7 @@ def test_kernel_matches_decimal_phases():
 
 
 def test_kernel_rows_match_scalar_calls():
-    log_n = _angles.log_ld(np.arange(1, 301))
+    log_n = _angles._log_ld(np.arange(1, 301))
     grid = _angles.n_pow_minus_it(np.array(_TS), log_n)
     for i, t in enumerate(_TS):
         assert np.array_equal(grid[i], _angles.n_pow_minus_it(t, log_n))
@@ -54,7 +62,7 @@ def _direct(s, n_terms):
     """sum_{n <= N} n^{-s} row by row: the reference formula."""
     n = np.arange(1, n_terms + 1)
     amp = n[None, :] ** (-s.real[:, None])
-    return np.sum(amp * _angles.n_pow_minus_it(s.imag, _angles.log_ld(n)), axis=1)
+    return np.sum(amp * _angles.n_pow_minus_it(s.imag, _angles._log_ld(n)), axis=1)
 
 
 def _f_nodes(t):
@@ -77,7 +85,7 @@ def _long_lattice(x_end, step=0.25):
 def test_lattice_matches_direct(x, sigma):
     n_terms = _angles.pow2_bucket(int(2.0 * x.max()) + 1, 1024)
     n = np.arange(1, n_terms + 1)
-    on, sums = _angles.lattice_sums(x, n ** -sigma, _angles.log_ld(n))
+    on, sums = _angles.lattice_sums(x, n ** -sigma, _angles._log_ld(n))
     assert on.mean() > 0.9
     # 128 rows or so: the direct reference costs N phases a row
     rows = np.flatnonzero(on)[::max(1, np.count_nonzero(on) // 128)]
@@ -134,9 +142,9 @@ def test_off_lattice_rows_keep_the_direct_route(s):
 def test_em_tail_log_n_is_the_table_entry():
     # em_tail reads log N from the terms table: the same longdouble log,
     # so the tail is unchanged bit for bit
-    log_n = np.log(_angles.as_ld(np.arange(1, 4097)))
+    log_n = np.log(_angles._as_ld(np.arange(1, 4097)))
     for n_terms in range(64, 4097):
-        assert log_n[n_terms - 1] == _angles.log_ld(float(n_terms))
+        assert log_n[n_terms - 1] == _angles._log_ld(float(n_terms))
 
 
 def test_direct_rows_are_blocked_over_terms(monkeypatch):
@@ -173,7 +181,7 @@ def test_step_matrix_row_blocks_bit_identical(monkeypatch):
 
 
 def test_step_matrix_keeps_the_last():
-    log_d = _angles.log_ld(np.arange(1024, 0, -1))
+    log_d = _angles._log_ld(np.arange(1024, 0, -1))
     first = _angles._step_matrix(0.125, log_d)
     assert _angles._step_matrix(0.125, log_d) is first
     other = _angles._step_matrix(0.25, log_d)
@@ -205,9 +213,28 @@ def test_terms_forms_log_n_in_parts():
     edges = np.arange(0, n_terms, _angles.ROW_ELEMS)
     idx = np.unique(np.clip(np.concatenate([edges - 1, edges, edges + 1, [n_terms - 1]]),
                             0, n_terms - 1))
-    assert np.array_equal(log_n[idx], np.log(_angles.as_ld(n[idx])))
+    assert np.array_equal(log_n[idx], np.log(_angles._as_ld(n[idx])))
     rows = slice(None, None, 997)
-    assert np.array_equal(log_n[rows], _angles.log_ld(n[rows]))
+    assert np.array_equal(log_n[rows], _angles._log_ld(n[rows]))
+
+
+def test_terms_keeps_power_of_two_tables(monkeypatch):
+    # H_r and oracle term counts are rarely powers of two; they read views
+    # [:N] of the table of the next power of two, so the cache holds at
+    # most one table per power of two up to RETAIN_TERMS, whatever N is
+    # asked for
+    monkeypatch.setattr(_angles, "_TERMS", {})
+    counts = {h_r_series_info(t, r)[1] for t in (100.0, 1000.0, 12345.0, 1e6)
+              for r in (0, 2)}
+    z_oracle(1e8)
+    counts.add(oracle_terms(1e8, 1e8))
+    assert all(n & (n - 1) for n in counts)  # none a power of two
+    assert set(_angles._TERMS) == {_angles.pow2_bucket(n, 1) for n in counts}
+    n, log_n = _angles.terms(113)
+    n128, log_n128 = _angles._TERMS[128]
+    assert n.size == log_n.size == 113
+    assert n.base is n128 and log_n.base is log_n128
+    assert not (n.flags.writeable or log_n.flags.writeable)
 
 
 def test_step_matrix_memory_is_bounded():
@@ -232,7 +259,7 @@ def test_lattice_skips_oversized_step_matrix():
     # 64 x (2^19 + 1) elements is above the 1 << 25 ceiling: the rows are
     # left to the caller's row-blocked direct route, nothing is formed
     n = np.arange(1, (1 << 19) + 2)
-    log_n = _angles.log_ld(n)
+    log_n = _angles._log_ld(n)
     amp = n ** -4.0
     x = 1e5 + 0.125 * np.arange(128)
     tracemalloc.start()
@@ -304,14 +331,14 @@ def _h_terms(n):
 def test_taylor_lattice_matches_direct(x):
     n = np.arange(1, 301, dtype=float)
     rows, shift = _h_terms(n)
-    on, sums = _angles.lattice_sums(x, rows, _angles.log_ld(n), shift)
+    on, sums = _angles.lattice_sums(x, rows, _angles._log_ld(n), shift)
     assert on.mean() > 0.9
     # near t ~ 1 a block's |d| is beyond one expansion: left to the caller
     assert not on[x < 5.0].any()
     at = np.flatnonzero(on)[::3]
     y = 1.75 * (np.log(x[at])[:, None] - _angles.LOG_2PI - 2.0 * np.log(n))
     ref = np.sum(n ** -4.0 / np.cosh(y)
-                 * _angles.n_pow_minus_it(x[at], _angles.log_ld(n)), axis=1)
+                 * _angles.n_pow_minus_it(x[at], _angles._log_ld(n)), axis=1)
     assert float(np.max(np.abs(sums[at] - ref))) <= 1e-14 * float(np.max(np.abs(ref)))
 
 

@@ -284,6 +284,32 @@ def test_table_bad_rows(capsys):
     assert err
 
 
+_TABLE_TEXT = ("        t             Z        approx     absdiff\n"
+               "       10    -1.5491945    -0.9983261   0.5508685\n"
+               "      100     2.6926971     2.6269297   0.0657674\n")
+
+
+def test_table_plain_text(capsys):
+    assert run(capsys, "table", "--rows", "10,100") == (EXIT_OK, _TABLE_TEXT, "")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("10,,100", None),  # an empty token is skipped
+    (" 10 , 100 ", None),
+    ("abc", "bad row 'abc'"),
+    ("10,1e3x", "bad row '1e3x'"),
+    (",", "empty row list"),
+    ("", "empty row list"),
+])
+def test_table_rows_tokens(capsys, spec, message):
+    code, out, err = run(capsys, "table", "--rows", spec)
+    if message is None:
+        assert (code, out) == (EXIT_OK, _TABLE_TEXT)
+    else:
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+
+
 # ------------------------------------------------------------------- scan
 
 def test_scan_plain_report(capsys):

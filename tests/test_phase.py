@@ -198,6 +198,17 @@ def test_theta_mod_2pi_consistency():
         (out >= 0.0) & (out < 2.0 * math.pi))
 
 
+def test_theta_mod_2pi_frozen_bits():
+    # the values from before the phase moved into _angles, to the last
+    # bit, for scalars (Python floats) and for an array
+    ts = (10.0, 12345.678, 1e8)
+    refs = (2.2098596917376967, 3.1836187374014346, 3.5379159968658103)
+    for t, ref in zip(ts, refs):
+        got = theta_mod_2pi(t)
+        assert type(got) is float and got == ref, t
+    assert theta_mod_2pi(np.array(ts)).tolist() == list(refs)
+
+
 def test_rho0_closed_forms():
     assert abs(rho0(2.0 * math.pi) - (19.0 + 4.0 * math.pi ** 2)) < 1e-12
     assert abs(rho0(1.0) - (2.0 * math.pi) ** -1.75 * 20.0) < 1e-15

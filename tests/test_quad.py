@@ -298,6 +298,13 @@ def test_staged_tail_collapse():
     assert abs(f_staged(1e3, 3, 1e-18) - f_staged(1e3, 4, 1e-18)) <= 1e-2
 
 
+def test_f_staged_shifted_stages_frozen_bits():
+    # stages 3 and 4 carry (t/2pi)^{ix/2}: the values from before that
+    # phase moved into _angles, to the last bit
+    assert f_staged(100.0, 3) == 26936.0218398023 - 4415.498610509018j
+    assert f_staged(100.0, 4) == 26935.99767504216 - 4415.490453115363j
+
+
 def test_staged_stage_guard():
     with pytest.raises(ValueError):
         f_staged(100.0, 5)

@@ -12,7 +12,6 @@ from zline import (
     PhaseTrack,
     PhaseTrackError,
     ZeroScanReport,
-    c_statistic,
     c_statistic_profile,
     continuous_arg,
     count_zeros,
@@ -109,6 +108,22 @@ def test_count_zeros_guards():
         count_zeros(math.sin, 2.0, 1.0)
     with pytest.raises(ValueError):
         count_zeros(math.sin, 0.0, 1.0, step=0.5)
+
+
+def test_count_zeros_exact_zero_at_node_and_end():
+    # (t - 1)(t - 2) is exactly 0.0 at the grid node 1 and at b = 2: the
+    # node is credited once, as a left endpoint, and b after the loop,
+    # neither bisected
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return (t - 1.0) * (t - 2.0)
+
+    report = count_zeros(f, 0.5, 2.0, step=0.25)
+    assert report.zeros.tolist() == [1.0, 2.0]
+    assert report.count == 2
+    assert calls == [0.5 + 0.25 * k for k in range(7)]
 
 
 def test_count_zeros_z_below_first():
@@ -268,7 +283,7 @@ def test_refined_track_names_the_unresolved_step():
 # ---------------------------------------------------------- c statistic
 
 def test_c_statistic_sanity_band():
-    assert 0.1 <= c_statistic(1000.0) <= 0.45
+    assert 0.1 <= c_statistic_profile([1000.0])[0] <= 0.45
 
 
 def test_c_statistic_profile_band():
@@ -296,9 +311,9 @@ def test_c_statistic_refuses_work_over_budget():
 
 def test_c_statistic_guards():
     with pytest.raises(ValueError):
-        c_statistic(50.0)
+        c_statistic_profile([50.0])
     with pytest.raises(ValueError):
-        c_statistic(1000.0, step=0.5)
+        c_statistic_profile([1000.0], step=0.5)
     with pytest.raises(ValueError):
         c_statistic_profile([])
 
@@ -317,7 +332,7 @@ def _h_off_axis_direct(z):
     """The continued series at each z summed term by term, every phase
     formed in longdouble, plus the same closed-form tail."""
     n0 = _angles.pow2_bucket(max(2048, int(0.4 * float(z.real.max())) + 1), 2048)
-    log_n = _angles.log_ld(np.arange(1, n0 + 1))
+    log_n = _angles._log_ld(np.arange(1, n0 + 1))
     log_d = np.asarray(log_n, dtype=float)
     out = np.empty(z.shape, dtype=complex)
     for start in range(0, z.size, 128):

@@ -206,7 +206,7 @@ def _h_direct(ts, n_terms):
     n = np.arange(1, n_terms + 1, dtype=float)
     y = 1.75 * (np.log(ts)[:, None] - _LOG_2PI - 2.0 * np.log(n))
     return np.sum(n ** -4.0 / np.cosh(y)
-                  * _angles.n_pow_minus_it(ts, _angles.log_ld(n)), axis=1)
+                  * _angles.n_pow_minus_it(ts, _angles._log_ld(n)), axis=1)
 
 
 @pytest.mark.parametrize("a, b, step", [
@@ -239,7 +239,10 @@ def test_z_approx_phase_variants():
     t, eps = 1e4, 1e-7
     a = z_approx(t, eps)[0]
     h = h_r_series_info(t, 0, eps * (2.0 * math.pi / t) ** 1.75)[0]
-    ph = float(_angles.reduce_mod_2pi(_angles.vartheta_ld(t)))
+    tl = _angles._as_ld(t)
+    ph = float(_angles.reduce_mod_2pi(
+        tl / 2 * (np.log(tl) - _angles._LOG_2PI_LD) - tl / 2 - _angles._PI / 8
+        + 1 / (48 * tl) + 7 / (5760 * tl ** 3)))
     b = (t / (2.0 * math.pi)) ** 1.75 * (math.cos(ph) * h.real - math.sin(ph) * h.imag)
     assert abs(a - b) <= 5e-3
     assert abs(a - -0.3452059) <= 5e-6
@@ -251,6 +254,18 @@ def test_z_approx_guards():
     for eps in (0.0, 5e-3):
         with pytest.raises(ValueError, match="eps must be in"):
             z_approx(100.0, eps)
+
+
+@pytest.mark.parametrize("t, r, eps, ref", [
+    (1000.0, 0, 1e-10,
+     (0.000258488063260205 + 5.143640447078758e-05j, 113, 9.924898276465479e-11)),
+    (1e8, 2, 1e-10,
+     (-7.512105868567121e-12 - 3.645598853519489e-11j, 3683, 9.989893607701575e-11)),
+])
+def test_h_r_series_frozen_bits(t, r, eps, ref):
+    # N = 113 and 3683 read views of the 128- and 4096-term tables: the
+    # values from before n and log n came from _angles.terms, to the bit
+    assert h_r_series_info(t, r, eps) == ref
 
 
 def test_z_routes_refuse_the_cap_before_scaling_eps():

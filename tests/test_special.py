@@ -229,8 +229,12 @@ def test_z_oracle_main_sum_chunks(monkeypatch):
     # of the whole main sum at once; above, the chunks hold memory flat
     t = 1e8
     n = np.arange(1, oracle_terms(t, t) + 1)
-    ph = _angles.reduce_mod_2pi(_angles.vartheta_ld(t)
-                                - _angles.as_ld(t) * _angles.log_ld(n))
+    # vartheta and the phases in longdouble, as written before they moved
+    # into _angles
+    tl = _angles._as_ld(t)
+    th = (tl / 2 * (np.log(tl) - _angles._LOG_2PI_LD) - tl / 2 - _angles._PI / 8
+          + 1 / (48 * tl) + 7 / (5760 * tl ** 3))
+    ph = _angles.reduce_mod_2pi(th - tl * _angles._log_ld(n))
     main = 2.0 * float(np.sum(np.cos(ph) / np.sqrt(n)))
     a = math.sqrt(t / (2.0 * math.pi))
     p = a - n.size
@@ -240,6 +244,29 @@ def test_z_oracle_main_sum_chunks(monkeypatch):
     # 3989 terms in chunks of 1000: the same sum up to its rounding
     monkeypatch.setattr(_angles, "ROW_ELEMS", 1000)
     assert abs(special._z_rs(t)[0] - whole) <= 1e-12
+
+
+@pytest.mark.parametrize("t, ref", [
+    (600.0, (2.6715801421320204, 6.856391271198068e-07)),
+    (1e8, (3.645407868486116, 1.0709706182347008e-08)),
+    (1e12, (4.3088350807648315, 1.522046862241895e-05)),
+])
+def test_z_oracle_frozen_bits(t, ref):
+    # value and est from before the main sum moved into _angles, to the
+    # last bit
+    assert z_oracle(t) == ref
+
+
+def test_zeta_zero_dim_returns_complex():
+    # a 0-d input of any kind takes the array path and returns a Python
+    # complex, the one value of a one-sample array call
+    s = complex(0.5, 123.456)
+    ref = zeta(np.array([s]))[0]
+    for arg in (s, np.complex128(s), np.array(s)):
+        got = zeta(arg)
+        assert type(got) is complex and got == ref
+    with pytest.raises(ValueError):
+        zeta(np.array(0.0 + 1.0j))
 
 
 def test_rs_corrections_match_chebyshev_objects():
