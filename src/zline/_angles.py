@@ -23,9 +23,10 @@ the sums share: log 2pi, the power-of-two term bucket, the
 Euler-Maclaurin tail with zeta's one term rule (em_terms, from the first
 term the tail leaves out), the work budget of every points x terms sum,
 the bound (0, EPS_MAX] of every tail target eps with its one check, and
-the tables kept between calls, read-only, up to RETAIN_TERMS (16384)
-terms: the last step matrix (16 MB) and n with log n per power of two
-(terms); larger ones are built per call and kept by nobody.
+the tables kept between calls, read-only: the last step matrix of at most
+RETAIN_TERMS (16384) terms (16 MB), and one table of n with log n (terms)
+of at most ROW_ELEMS terms (24 MB), replaced by a larger one when a call
+needs more terms; larger tables are built per call and kept by nobody.
 """
 from __future__ import annotations
 
@@ -56,9 +57,13 @@ _LATTICE_MAX_ELEMS = 1 << 25
 _LATTICE_SLICE = 1 << 16  # samples per lattice_sums call, ~100 bytes each
 #: element budget (rows x terms) of one block of phase rows
 ROW_ELEMS = 1 << 20
-#: largest term count whose tables are kept between calls: the step
-#: matrix (B x N, 16 MB) within ROW_ELEMS, n and log n (0.4 MB)
+#: largest term count whose step matrix is kept between calls (B x N,
+#: 16 MB, within ROW_ELEMS); the kept n and log n table is sized by powers
+#: of two up to it
 RETAIN_TERMS = ROW_ELEMS // _LATTICE_BLOCK
+# largest term count whose n and log n table terms keeps: one build part
+# (24 MB); rs_main_sum and em_tail read the kept table up to it too
+_KEEP_TERMS = ROW_ELEMS
 #: term evaluations (points x terms) one sum may cost: minutes of work
 WORK_BUDGET = 1 << 31
 #: a Taylor amplitude stops where its next term is below this fraction
@@ -205,28 +210,37 @@ def taylor_sum(rows, d):
     return acc
 
 
-# n = 1..N and _log_ld(n), per power of two N up to RETAIN_TERMS
+# the one table terms keeps: n = 1..M and _log_ld(n), under its size M
 _TERMS: dict = {}
 
 
+def _term_table(size: int):
+    """n = 1..size and _log_ld(n), read-only, log n formed in parts of
+    ROW_ELEMS."""
+    n = np.arange(1, size + 1)
+    log_n = np.empty(size, dtype=np.longdouble)
+    for k in range(0, size, ROW_ELEMS):
+        np.log(_as_ld(n[k:k + ROW_ELEMS]), out=log_n[k:k + ROW_ELEMS])
+    for a in (n, log_n):
+        a.flags.writeable = False
+    return n, log_n
+
+
 def terms(n_terms: int):
-    """(n, log n) for n = 1..N, read-only, log n in longdouble (formed in
-    parts of ROW_ELEMS): up to RETAIN_TERMS views [:N] of the kept table
-    of the power of two at or above N, so all kept (15 tables) is under
-    1 MB; above, exactly N terms built per call and kept by nobody."""
-    size = n_terms if n_terms > RETAIN_TERMS else pow2_bucket(n_terms, 1)
-    table = _TERMS.get(size)
-    if table is None:
-        n = np.arange(1, size + 1)
-        log_n = np.empty(size, dtype=np.longdouble)
-        for k in range(0, size, ROW_ELEMS):
-            np.log(_as_ld(n[k:k + ROW_ELEMS]), out=log_n[k:k + ROW_ELEMS])
-        table = (n, log_n)
-        for a in table:
-            a.flags.writeable = False
-        if size <= RETAIN_TERMS:
-            _TERMS[size] = table
-    return table[0][:n_terms], table[1][:n_terms]
+    """(n, log n) for n = 1..N, read-only, log n in longdouble.  Up to
+    _KEEP_TERMS, views [:N] of the one kept table; a larger N replaces it
+    (the old table dropped first, so two are never kept) by the table of
+    the power of two at or above N up to RETAIN_TERMS, of exactly N terms
+    above.  Above _KEEP_TERMS, exactly N terms built per call and kept by
+    nobody; the kept table stays."""
+    if n_terms > _KEEP_TERMS:
+        return _term_table(n_terms)
+    if not _TERMS or max(_TERMS) < n_terms:
+        _TERMS.clear()
+        size = pow2_bucket(n_terms, 1) if n_terms <= RETAIN_TERMS else n_terms
+        _TERMS[size] = _term_table(size)
+    n, log_n = next(iter(_TERMS.values()))
+    return n[:n_terms], log_n[:n_terms]
 
 
 # the last step matrix _step_matrix built, under its (h, N)
@@ -442,10 +456,10 @@ def rs_main_sum(t: float, big_n: int) -> float:
     """sum_{n <= N} cos(vartheta(t) - t log n) / sqrt(n), the Riemann-Siegel
     main sum without its factor 2, vartheta = t/2 log(t/2pi) - t/2 - pi/8
     + 1/(48t) + 7/(5760t^3), in chunks of ROW_ELEMS added in order of n:
-    views of the kept table up to RETAIN_TERMS, built chunk by chunk above."""
+    views of the kept table up to _KEEP_TERMS, built chunk by chunk above."""
     tl = _as_ld(t)
     th = _stirling_phase(tl, -_PI / 8) + 1 / (48 * tl) + 7 / (5760 * tl ** 3)
-    kept = terms(big_n) if big_n <= RETAIN_TERMS else None
+    kept = terms(big_n) if big_n <= _KEEP_TERMS else None
     main = 0.0
     for start in range(0, big_n, ROW_ELEMS):
         if kept is None:
@@ -503,7 +517,7 @@ def em_tail(s, n_terms: int):
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     big_n = float(n_terms)
     # log N from the kept table, which holds _log_ld(N) bit for bit
-    log_big_n = terms(n_terms)[1][-1] if n_terms <= RETAIN_TERMS else _log_ld(big_n)
+    log_big_n = terms(n_terms)[1][-1] if n_terms <= _KEEP_TERMS else _log_ld(big_n)
     n_pow_ms = big_n ** (-s.real) * n_pow_minus_it(s.imag, log_big_n)
     bracket = big_n / (s - 1.0) - 0.5
     poch = s  # s(s+1)...(s+2k-2), built incrementally

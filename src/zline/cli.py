@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import __version__, _angles
 from .errors import ConvergenceError, PhaseTrackError
@@ -239,7 +240,10 @@ def _finite(text: str) -> float:
     return value
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The zline parser, built once per process: parse_args keeps no state
+    between calls, so every later main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="zline",
         description="Critical-line Z evaluation, zero scans, and series diagnostics.")

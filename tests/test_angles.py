@@ -218,30 +218,65 @@ def test_terms_forms_log_n_in_parts():
     assert np.array_equal(log_n[rows], _angles._log_ld(n[rows]))
 
 
-def test_terms_keeps_power_of_two_tables(monkeypatch):
+def test_terms_keeps_one_table(monkeypatch):
     # H_r and oracle term counts are rarely powers of two; they read views
-    # [:N] of the table of the next power of two, so the cache holds at
-    # most one table per power of two up to RETAIN_TERMS, whatever N is
-    # asked for
+    # [:N] of one kept table, sized to the power of two at or above the
+    # largest N asked for up to RETAIN_TERMS and to exactly N above; a
+    # larger N replaces it, the old table dropped before the new one is
+    # built, and an N above ROW_ELEMS is built per call
     monkeypatch.setattr(_angles, "_TERMS", {})
+    kept_at_build = []
+    build = _angles._term_table
+
+    def spy(size):
+        kept_at_build.append(len(_angles._TERMS))
+        return build(size)
+
+    monkeypatch.setattr(_angles, "_term_table", spy)
     counts = {h_r_series_info(t, r)[1] for t in (100.0, 1000.0, 12345.0, 1e6)
               for r in (0, 2)}
     z_oracle(1e8)
     counts.add(oracle_terms(1e8, 1e8))
     assert all(n & (n - 1) for n in counts)  # none a power of two
-    assert set(_angles._TERMS) == {_angles.pow2_bucket(n, 1) for n in counts}
-    n, log_n = _angles.terms(113)
-    n128, log_n128 = _angles._TERMS[128]
-    assert n.size == log_n.size == 113
-    assert n.base is n128 and log_n.base is log_n128
+    (size,) = _angles._TERMS
+    assert size == _angles.pow2_bucket(max(counts), 1) == 4096
+    n_kept, log_kept = _angles._TERMS[size]
+    for count in sorted(counts) + [size]:
+        n, log_n = _angles.terms(count)
+        assert n.size == log_n.size == count
+        assert n.base is n_kept and log_n.base is log_kept
+        assert not (n.flags.writeable or log_n.flags.writeable)
+    # above RETAIN_TERMS the table takes exactly N terms and replaces the last
+    big = h_r_series_info(1e7, 0, 1e-20)[1]
+    assert _angles.RETAIN_TERMS < big < _angles.ROW_ELEMS
+    assert list(_angles._TERMS) == [big]
+    n, log_n = _angles._TERMS[big]
     assert not (n.flags.writeable or log_n.flags.writeable)
+    small = _angles.terms(113)
+    assert small[0].base is n and small[1].base is log_n
+    # every kept table was built with no other kept beside it
+    assert len(kept_at_build) >= 2 and not any(kept_at_build)
+    # log n bit for bit at the old table's end and the new one's
+    idx = np.array([0, size - 1, size, big - 1])
+    assert np.array_equal(log_n[idx], _angles._log_ld(n[idx]))
+    assert log_kept[-1] == _angles._log_ld(size)
+    # above ROW_ELEMS: built per call, and the kept table stays
+    huge = _angles.ROW_ELEMS + 1
+    n_h, log_h = _angles.terms(huge)
+    assert n_h.size == log_h.size == huge
+    assert n_h.base is None and log_h.base is None
+    assert not (n_h.flags.writeable or log_h.flags.writeable)
+    assert list(_angles._TERMS) == [big] and _angles._TERMS[big][1] is log_n
+    assert log_h[-1] == _angles._log_ld(huge)
 
 
-def test_step_matrix_memory_is_bounded():
+def test_step_matrix_memory_is_bounded(monkeypatch):
     # 128 lattice nodes of N = 131072 terms: the 64 x N step matrix takes
     # 134 MB; built in row blocks, the call peaks at 183 MB (342 MB when
     # the matrix was formed in one piece).  Above RETAIN_TERMS nothing of
-    # it, nor of n and log n, is kept after the call
+    # it is kept after the call; what stays is the n and log n table of its
+    # N terms, as terms keeps one table up to ROW_ELEMS
+    monkeypatch.setattr(_angles, "_TERMS", {})
     s = 4.0 + 1j * (1e5 + 0.125 * np.arange(128))
     matrix = 64 * 131072 * 16
     zeta(4.0 + 1j * (100.0 + 0.125 * np.arange(128)))  # lazy imports
@@ -252,7 +287,8 @@ def test_step_matrix_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * matrix
-    assert current < 1 << 20
+    kept = sum(a.nbytes for a in _angles._TERMS[131072])
+    assert current - kept < 1 << 20
 
 
 def test_lattice_skips_oversized_step_matrix():

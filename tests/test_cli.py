@@ -483,6 +483,42 @@ def test_xray_byte_determinism(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+# a success, a usage error (exit 2), a refusal (exit 3), a scan, the first again
+_SEQUENCE = (
+    ("eval", "--t", "100", "--method", "approx", "--json"),
+    ("eval", "--t", "10", "--method", "bogus"),
+    ("eval", "--t", "1e20", "--method", "oracle"),
+    ("scan", "--from", "10", "--to", "30", "--json"),
+    ("eval", "--t", "100", "--method", "approx", "--json"),
+)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_match_fresh_parsers(capsys):
+    # one parser serves every call of a process: no state carries over
+    kept = [_outcome(capsys, argv) for argv in _SEQUENCE]
+    fresh = []
+    for argv in _SEQUENCE:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in kept] == [
+        EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_OK, EXIT_OK]
+    assert kept == fresh
+    assert kept[0] == kept[-1]
+
+
 # ---------------------------------------------------------- frozen output
 # Text and CSV bytes are pinned exactly.  JSON prints c and phase_end to
 # the last bit, which moves with the summation order of the H grid, so

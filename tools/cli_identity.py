@@ -1,24 +1,31 @@
 """Byte identity of the zline command line across two checkouts.
 
-    python tools/cli_identity.py [--root DIR] [--full] > digests.txt
+    python tools/cli_identity.py [--root DIR] [--full] [--in-process] > digests.txt
 
 Runs a fixed set of zline commands from the checkout at DIR (by default
 the one holding this script), one process per command, and prints for
 each its exit code, the sha256 of its stdout and its argv, and after an
 xray command the sha256 of the CSV it wrote ("none" if it wrote none).
 With --full each command's stdout follows its line, indented, so that a
-moved JSON value shows in the comparison.  Run it on both checkouts and
-compare the two outputs with diff.  The whole set takes a few minutes on
-two cores; it is not part of the test suite.
+moved JSON value shows in the comparison.  With --in-process every
+command runs through zline.cli.main in this one interpreter instead, its
+stdout captured and a SystemExit code taken as its exit code (an uncaught
+exception as 1, as a process would exit); a diff against the per-process
+output then shows any state one call leaves to the next.  Run it on both
+checkouts and compare the two outputs with diff.  The whole set takes a
+few minutes on two cores; it is not part of the test suite.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 _XRAY_BOXES = (
@@ -88,25 +95,64 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1"}
+
+
+def _per_process(root: Path):
+    """A runner of one command in a fresh interpreter: argv -> (code, stdout)."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **_THREADS)
+    launch = [sys.executable, "-c",
+              "import sys; from zline.cli import main; sys.exit(main())"]
+
+    def run(argv):
+        proc = subprocess.run(launch + argv, env=env, capture_output=True)
+        return proc.returncode, proc.stdout
+
+    return run
+
+
+def _in_process(root: Path):
+    """A runner of every command through this interpreter's zline.cli.main,
+    stdout captured and stderr dropped: argv -> (code, stdout)."""
+    os.environ.update(_THREADS)  # before numpy loads
+    sys.path.insert(0, str(root / "src"))
+    from zline.cli import main as zline_main
+
+    def run(argv):
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = zline_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()  # as a process would, which then exits 1
+            code = 1
+        return code, out.getvalue().encode()
+
+    return run
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout whose src/ is run")
     parser.add_argument("--full", action="store_true",
                         help="print each command's stdout under its digest")
+    parser.add_argument("--in-process", action="store_true",
+                        help="run every command in this interpreter")
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"),
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    launch = [sys.executable, "-c",
-              "import sys; from zline.cli import main; sys.exit(main())"]
+    root = args.root.resolve()
+    run = _in_process(root) if args.in_process else _per_process(root)
     with tempfile.TemporaryDirectory() as tmp:
         for k, cmd in enumerate(commands()):
             csv = Path(tmp) / f"xray_{k}.csv"
             argv_k = list(cmd) + (["--out", str(csv)] if cmd[0] == "xray" else [])
-            proc = subprocess.run(launch + argv_k, env=env, capture_output=True)
+            code, out = run(argv_k)
             # the CSV path is the one part of stdout that names the run's directory
-            out = proc.stdout.replace(str(csv).encode(), b"OUT")
-            print(proc.returncode, _digest(out), " ".join(cmd), flush=True)
+            out = out.replace(str(csv).encode(), b"OUT")
+            print(code, _digest(out), " ".join(cmd), flush=True)
             if args.full:
                 for line in out.decode().splitlines():
                     print("   ", line)
