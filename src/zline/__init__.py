@@ -10,64 +10,13 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .errors import ConvergenceError, PhaseTrackError
-from .special import (
-    ln_gamma,
-    oracle_terms,
-    rs_theta,
-    upper_incomplete_gamma,
-    z_oracle,
-    zeta,
-)
-from .phase import (
-    ALPHA_SERIES,
-    L1_TERMS,
-    LOG_RHO_SERIES,
-    AsymptoticSeries,
-    PhasePolar,
-    alpha_asymptotic,
-    h_exact,
-    h_polar,
-    l1,
-    log_rho_asymptotic,
-    rho0,
-    theta,
-    theta_mod_2pi,
-    z_denominator,
-)
-from .quad import (
-    StripProblem,
-    f_integral,
-    f_integral_grid,
-    f_on_line,
-    f_staged,
-    kernel,
-    omega_kernel,
-    strip_solve,
-    z_from_integral,
-)
-from .series import (
-    EulerianB,
-    eulerian_b,
-    fourier_cosh_moment,
-    g_series,
-    h_r_series_info,
-    h_series_grid,
-    z_approx,
-    z_g,
-)
-from .scan import (
-    PhaseTrack,
-    XrayGrid,
-    ZeroScanReport,
-    c_statistic_profile,
-    continuous_arg,
-    count_zeros,
-    perturbation_phase_check,
-    phase_count_check,
-    xray_grid,
-)
-from .cli import OutputRecord, main
+from .errors import *
+from .special import *
+from .phase import *
+from .quad import *
+from .series import *
+from .scan import *
+from .cli import *
 
 __all__ = [
     "__version__",

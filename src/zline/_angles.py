@@ -23,10 +23,14 @@ the sums share: log 2pi, the power-of-two term bucket, the
 Euler-Maclaurin tail with zeta's one term rule (em_terms, from the first
 term the tail leaves out), the work budget of every points x terms sum,
 the bound (0, EPS_MAX] of every tail target eps with its one check, and
-the tables kept between calls, read-only: the last step matrix of at most
-RETAIN_TERMS (16384) terms (16 MB), and one table of n with log n (terms)
-of at most ROW_ELEMS terms (24 MB), replaced by a larger one when a call
-needs more terms; larger tables are built per call and kept by nobody.
+n with log n from one place.  Two tables are kept between calls,
+read-only, each in a slot of one value that a call reads once and that is
+replaced whole, so calls from several threads never see each other's: the
+last step matrix of at most RETAIN_TERMS (16384) terms (16 MB), and one
+table of n with log n (terms) of at most 2^20 terms (24 MB), replaced by a
+larger one when a call needs more terms.  A longer sum reads n and log n
+in parts (term_parts), each built alone, so no table of more than 2^20
+terms is formed.
 """
 from __future__ import annotations
 
@@ -52,8 +56,9 @@ _LATTICE_BLOCK = 64
 _LATTICE_SLACK = 1e-9
 # a block with fewer rows on it costs more as an anchor than row by row
 _LATTICE_MIN_ROWS = 16
-# largest B x terms step matrix (537 MB) the lattice route forms
-_LATTICE_MAX_ELEMS = 1 << 25
+# largest term count N whose B x N step matrix (537 MB) the lattice route
+# forms
+_LATTICE_MAX_TERMS = (1 << 25) // _LATTICE_BLOCK
 _LATTICE_SLICE = 1 << 16  # samples per lattice_sums call, ~100 bytes each
 #: element budget (rows x terms) of one block of phase rows
 ROW_ELEMS = 1 << 20
@@ -61,9 +66,9 @@ ROW_ELEMS = 1 << 20
 #: 16 MB, within ROW_ELEMS); the kept n and log n table is sized by powers
 #: of two up to it
 RETAIN_TERMS = ROW_ELEMS // _LATTICE_BLOCK
-# largest term count whose n and log n table terms keeps: one build part
-# (24 MB); rs_main_sum and em_tail read the kept table up to it too
-_KEEP_TERMS = ROW_ELEMS
+# largest n and log n table formed, kept by terms (24 MB); term_parts
+# builds longer sums part by part
+_KEEP_TERMS = 1 << 20
 #: term evaluations (points x terms) one sum may cost: minutes of work
 WORK_BUDGET = 1 << 31
 #: a Taylor amplitude stops where its next term is below this fraction
@@ -210,41 +215,55 @@ def taylor_sum(rows, d):
     return acc
 
 
-# the one table terms keeps: n = 1..M and _log_ld(n), under its size M
-_TERMS: dict = {}
+# the one n and log n table terms keeps, (n, log n) for n = 1..M, or None;
+# read once per call and replaced whole, so a call never sees another's
+_TABLE = None
 
 
-def _term_table(size: int):
-    """n = 1..size and _log_ld(n), read-only, log n formed in parts of
-    ROW_ELEMS."""
-    n = np.arange(1, size + 1)
-    log_n = np.empty(size, dtype=np.longdouble)
-    for k in range(0, size, ROW_ELEMS):
-        np.log(_as_ld(n[k:k + ROW_ELEMS]), out=log_n[k:k + ROW_ELEMS])
+def _term_table(start: int, stop: int):
+    """n = start + 1..stop and _log_ld(n), read-only."""
+    n = np.arange(start + 1, stop + 1)
+    log_n = np.log(_as_ld(n))
     for a in (n, log_n):
         a.flags.writeable = False
     return n, log_n
 
 
 def terms(n_terms: int):
-    """(n, log n) for n = 1..N, read-only, log n in longdouble.  Up to
-    _KEEP_TERMS, views [:N] of the one kept table; a larger N replaces it
-    (the old table dropped first, so two are never kept) by the table of
-    the power of two at or above N up to RETAIN_TERMS, of exactly N terms
-    above.  Above _KEEP_TERMS, exactly N terms built per call and kept by
-    nobody; the kept table stays."""
+    """(n, log n) for n = 1..N, N <= _KEEP_TERMS, read-only, log n in
+    longdouble: views [:N] of the one kept table.  A larger N replaces it
+    (the slot emptied first, so two are never kept) by the table of the
+    power of two at or above N up to RETAIN_TERMS, of exactly N terms
+    above."""
+    global _TABLE
     if n_terms > _KEEP_TERMS:
-        return _term_table(n_terms)
-    if not _TERMS or max(_TERMS) < n_terms:
-        _TERMS.clear()
+        raise ValueError(f"terms keeps at most {_KEEP_TERMS} terms; "
+                         "read longer sums by term_parts")
+    table = _TABLE
+    if table is None or table[0].size < n_terms:
+        _TABLE = None
         size = pow2_bucket(n_terms, 1) if n_terms <= RETAIN_TERMS else n_terms
-        _TERMS[size] = _term_table(size)
-    n, log_n = next(iter(_TERMS.values()))
+        table = _TABLE = _term_table(0, size)
+    n, log_n = table
     return n[:n_terms], log_n[:n_terms]
 
 
-# the last step matrix _step_matrix built, under its (h, N)
-_STEPS: dict = {}
+def term_parts(n_terms: int, width: int):
+    """(n, log n) for n = 1..N in parts of `width` terms, in order of n,
+    read-only: views of the kept table up to _KEEP_TERMS, each part built
+    alone above it, so that no table of more than _KEEP_TERMS terms is
+    formed."""
+    kept = terms(n_terms) if n_terms <= _KEEP_TERMS else None
+    for start in range(0, n_terms, width):
+        stop = min(start + width, n_terms)
+        if kept is None:
+            yield _term_table(start, stop)
+        else:
+            yield kept[0][start:stop], kept[1][start:stop]
+
+
+# the last step matrix _step_matrix kept, ((h, N), matrix), or None
+_STEPS = None
 
 
 def _step_matrix(h: float, log_d) -> np.ndarray:
@@ -254,16 +273,17 @@ def _step_matrix(h: float, log_d) -> np.ndarray:
     It is built in row blocks under ROW_ELEMS: allocated after the first
     block's phases, each block's freed before the next, it takes no more
     page faults than a one-piece build.  The last matrix of at most
-    RETAIN_TERMS terms is kept under (h, N) and returned again; it is
-    dropped before any other is built, so two never coexist, and a larger
-    one is built per call and kept by nobody.
+    RETAIN_TERMS terms is kept with its (h, N) and returned again; the slot
+    is emptied before any other is built, so two are never kept, and a
+    larger one is built per call and kept by nobody.
     """
+    global _STEPS
     n_terms = log_d.size
     key = (h, n_terms)
-    steps = _STEPS.get(key)
-    if steps is not None:
-        return steps
-    _STEPS.clear()
+    kept = _STEPS
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    _STEPS = None
     chunk = max(1, ROW_ELEMS // n_terms)
     steps = None
     for j0 in range(0, _LATTICE_BLOCK, chunk):
@@ -276,7 +296,7 @@ def _step_matrix(h: float, log_d) -> np.ndarray:
     steps.flags.writeable = False
     steps = steps.T
     if n_terms <= RETAIN_TERMS:
-        _STEPS[key] = steps
+        _STEPS = (key, steps)
     return steps
 
 
@@ -316,7 +336,7 @@ def lattice_sums(x, amp, log_n, shift=None):
     on = np.zeros(x.shape, dtype=bool)
     sums = np.zeros(x.shape, dtype=complex)
     n_terms = log_n.size
-    if x.size < 2 * _LATTICE_BLOCK or _LATTICE_BLOCK * n_terms > _LATTICE_MAX_ELEMS:
+    if x.size < 2 * _LATTICE_BLOCK or n_terms > _LATTICE_MAX_TERMS:
         return on, sums
     h = float(np.median(np.diff(x)))
     if not (h > 0.0 and np.all(np.abs(x) < h * 2.0 ** 52)):
@@ -406,32 +426,34 @@ def lattice_sums(x, amp, log_n, shift=None):
     return on, sums
 
 
-def dirichlet_sums(x, log_n, direct, amp=None, shift=None) -> np.ndarray:
-    """sum_n a_n(x) n^{-ix} at every sample of x, for log_n = terms(N)[1],
-    n = 1..N.  Given amp (and shift) in the form lattice_sums takes, the
-    samples on a uniform lattice take that route, 65536 samples a call.
-    Every other sample is summed directly from direct(rows, part), the
-    amplitude a_n(x[rows]) for the n of the slice part, in blocks of rows
-    and terms under ROW_ELEMS elements: each row by numpy's pairwise sum,
-    and one of more than ROW_ELEMS terms in parts added in order of n.
+def dirichlet_sums(x, n_terms: int, direct, amp=None, shift=None) -> np.ndarray:
+    """sum_n a_n(x) n^{-ix} at every sample of x, n = 1..N.  Given amp, a
+    function of the table n = 1..N returning the amplitude in the form
+    lattice_sums takes (with shift), the samples on a uniform lattice take
+    that route, 65536 samples a call, wherever the lattice can run.  Every
+    other sample is summed directly from direct(rows, n), the amplitude
+    a_n(x[rows]) for the n of one part of term_parts, in blocks of rows and
+    terms under ROW_ELEMS elements: each row by numpy's pairwise sum, and
+    one of more than ROW_ELEMS terms in parts added in order of n.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=complex)
-    if amp is None or x.size < 2 * _LATTICE_BLOCK:
-        rest = np.arange(x.size)  # too few samples for a lattice block
+    if amp is None or x.size < 2 * _LATTICE_BLOCK or n_terms > _LATTICE_MAX_TERMS:
+        rest = np.arange(x.size)  # no lattice block can run
     else:
+        n, log_n = terms(n_terms)
+        lattice_amp = amp(n)
         on = np.zeros(x.shape, dtype=bool)
         for start in range(0, x.size, _LATTICE_SLICE):
             part = slice(start, start + _LATTICE_SLICE)
-            on[part], out[part] = lattice_sums(x[part], amp, log_n, shift)
+            on[part], out[part] = lattice_sums(x[part], lattice_amp, log_n, shift)
         rest = np.flatnonzero(~on)
-    width = min(log_n.size, ROW_ELEMS)
+    width = min(n_terms, ROW_ELEMS)
     for start in range(0, rest.size, ROW_ELEMS // width):
         r = rest[start:start + ROW_ELEMS // width]
-        for n0 in range(0, log_n.size, width):
-            p = slice(n0, n0 + width)
-            piece = np.sum(direct(r, p) * n_pow_minus_it(x[r], log_n[p]), axis=1)
-            out[r] = piece if n0 == 0 else out[r] + piece
+        for k, (n, log_n) in enumerate(term_parts(n_terms, width)):
+            piece = np.sum(direct(r, n) * n_pow_minus_it(x[r], log_n), axis=1)
+            out[r] = piece if k == 0 else out[r] + piece
     return out
 
 
@@ -455,18 +477,12 @@ def theta_mod_2pi(t):
 def rs_main_sum(t: float, big_n: int) -> float:
     """sum_{n <= N} cos(vartheta(t) - t log n) / sqrt(n), the Riemann-Siegel
     main sum without its factor 2, vartheta = t/2 log(t/2pi) - t/2 - pi/8
-    + 1/(48t) + 7/(5760t^3), in chunks of ROW_ELEMS added in order of n:
-    views of the kept table up to _KEEP_TERMS, built chunk by chunk above."""
+    + 1/(48t) + 7/(5760t^3), in parts of ROW_ELEMS (term_parts) added in
+    order of n."""
     tl = _as_ld(t)
     th = _stirling_phase(tl, -_PI / 8) + 1 / (48 * tl) + 7 / (5760 * tl ** 3)
-    kept = terms(big_n) if big_n <= _KEEP_TERMS else None
     main = 0.0
-    for start in range(0, big_n, ROW_ELEMS):
-        if kept is None:
-            n = np.arange(start + 1, min(start + ROW_ELEMS, big_n) + 1)
-            log_n = _log_ld(n)
-        else:
-            n, log_n = (a[start:start + ROW_ELEMS] for a in kept)
+    for n, log_n in term_parts(big_n, ROW_ELEMS):
         ph = reduce_mod_2pi(th - tl * log_n)
         main += float(np.sum(np.cos(ph) / np.sqrt(n)))
     return main
@@ -516,9 +532,7 @@ def em_tail(s, n_terms: int):
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     big_n = float(n_terms)
-    # log N from the kept table, which holds _log_ld(N) bit for bit
-    log_big_n = terms(n_terms)[1][-1] if n_terms <= _KEEP_TERMS else _log_ld(big_n)
-    n_pow_ms = big_n ** (-s.real) * n_pow_minus_it(s.imag, log_big_n)
+    n_pow_ms = big_n ** (-s.real) * n_pow_minus_it(s.imag, _log_ld(big_n))
     bracket = big_n / (s - 1.0) - 0.5
     poch = s  # s(s+1)...(s+2k-2), built incrementally
     for k, c in enumerate(_EM_COEF, start=1):

@@ -394,7 +394,8 @@ def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
     longdouble), P the rows n^{Im z - 4}, weighted by d^k.  Sub-tiles whose
     d is out of reach of one expansion are halved; those that stay out of
     reach (near Re z ~ |Im z|, or small ones) are summed term by term.
-    The sums over n run in chunks under _angles.ROW_ELEMS elements.
+    The sums over n run in parts (_angles.term_parts) under
+    _angles.ROW_ELEMS elements.
     """
     n0 = _xray_terms(float(res.max()), res.size * ims.size)
     z = res[:, None] + 1j * ims[None, :]
@@ -406,12 +407,9 @@ def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
         by_terms[i0:i1, j0:j1] = True
     ii, jj = np.nonzero(by_terms)
     out = np.zeros(z.shape, dtype=complex)
-    log_n = _angles.terms(n0)[1]
-    # n runs in chunks whose widest block of rows stays under ROW_ELEMS
+    # n runs in parts whose widest block of rows stays under ROW_ELEMS
     width = max([res.size, ims.size] + [s.shape[0] * s.shape[1] for s in acc])
-    nc = max(1, _angles.ROW_ELEMS // width)
-    for c0 in range(0, n0, nc):
-        ln = log_n[c0:c0 + nc]
+    for _, ln in _angles.term_parts(n0, max(1, _angles.ROW_ELEMS // width)):
         ln_d = np.asarray(ln, dtype=float)
         phases = _angles.n_pow_minus_it(res, ln)
         powers = np.exp((ims[:, None] - 4.0) * ln_d)

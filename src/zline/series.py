@@ -192,20 +192,19 @@ def h_series_grid(ts) -> np.ndarray:
     if np.any(ts <= 0.0):
         raise ValueError("h_series_grid requires t > 0")
     n_terms = h_grid_terms(float(np.max(ts)), ts.size)
-    n, log_n_ld = _angles.terms(n_terms)
-    log_n = np.log(n)
-    inv_n4 = n ** -4.0
 
-    def taylor_rows(c, k_max, part=slice(None)):
-        y = 1.75 * (np.log(c)[:, None] - _angles.LOG_2PI - 2.0 * log_n[part])
-        return inv_n4[part] * _angles.sech_taylor(y, k_max)
+    def taylor_rows(n):
+        """The rows n^-4 sech^(k)(y_n(c))/k!, k = 0..K, of the terms n, as
+        a function of the centres c and K."""
+        log_n, inv_n4 = np.log(n), n ** -4.0
+        return lambda c, k_max: inv_n4 * _angles.sech_taylor(
+            1.75 * (np.log(c)[:, None] - _angles.LOG_2PI - 2.0 * log_n), k_max)
 
     def shift(t, c):
         return 1.75 * np.log1p((t - c) / c)
 
     return _angles.dirichlet_sums(
-        ts, log_n_ld, lambda r, part: taylor_rows(ts[r], 0, part)[0],
-        taylor_rows, shift)
+        ts, n_terms, lambda r, n: taylor_rows(n)(ts[r], 0)[0], taylor_rows, shift)
 
 
 def _h_eps(t: float, eps: float) -> float:

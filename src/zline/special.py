@@ -48,6 +48,7 @@ _STIRLING_COEF = (
 _STIRLING_SHIFT = 15.0  # |z| below this is shifted up by the recurrence
 
 _EM_CAP = 1.0e5  # validated |Im s| ceiling of zeta left of Re s = 2
+_ZETA_TOL = 2.0 ** -52  # zeta's truncation target: one ulp of zeta ~ 1
 # zeta's tol in the oracle: the 3e-12 term of its est covers the truncation
 _EM_TOL = 2e-12
 # largest t the oracle evaluates by Euler-Maclaurin; the Riemann-Siegel
@@ -98,29 +99,28 @@ def _zeta_em_core(s, n_terms: int):
     sum over n <= N by _angles.dirichlet_sums, plus the tail.  With one
     Re s for the whole call (and two samples or more), the rows on a
     uniform lattice in Im s take the lattice route with the row n^-s; the
-    others form n^-Re(s) per row (a 1-D power need not round as the
-    broadcast one does).  Calls over _angles.WORK_BUDGET are refused
-    before they allocate.
+    others form n^-Re(s) per row from each part of n (a 1-D power need
+    not round as the broadcast one does).  Calls over _angles.WORK_BUDGET
+    are refused before they allocate.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     _angles.check_work(s.size, n_terms)
-    n, log_n = _angles.terms(n_terms)
     sigma = s.real
-    row = n ** -sigma[0] if s.size > 1 and np.all(sigma == sigma[0]) else None
+    uniform = s.size > 1 and np.all(sigma == sigma[0])
     sums = _angles.dirichlet_sums(
-        s.imag, log_n, lambda r, part: n[None, part] ** (-sigma[r, None]), row)
+        s.imag, n_terms, lambda r, n: n[None, :] ** (-sigma[r, None]),
+        (lambda n: n ** -sigma[0]) if uniform else None)
     return sums + _angles.em_tail(s, n_terms)
 
 
-def zeta(s, tol: float = 2.0 ** -52):
+def zeta(s):
     """zeta(s) for Re s > 0, s != 1, and |Im s| <= 1e5 where Re s < 2, by
     Euler-Maclaurin: the sum over n <= N plus the tail through B8, with N
     from _angles.em_terms, so that the first term the tail leaves out is
-    at most tol at the call's smallest Re s and largest |Im s|.  The
-    default is one ulp of zeta ~ 1; the absolute error is about tol plus
-    the roundoff of the sum.  Arrays, or scalars (returning a complex); a
-    call over the work budget is refused (ConvergenceError) before it
-    allocates."""
+    at most 2^-52 (one ulp of zeta ~ 1) at the call's smallest Re s and
+    largest |Im s|; the absolute error is about that plus the roundoff of
+    the sum.  Arrays, or scalars (returning a complex); a call over the
+    work budget is refused (ConvergenceError) before it allocates."""
     ss = np.asarray(s, dtype=complex)
     flat = ss.ravel()
     if np.any(flat.real <= 0.0):
@@ -134,7 +134,7 @@ def zeta(s, tol: float = 2.0 ** -52):
     if not flat.size:
         return flat.reshape(ss.shape)
     n_terms = _angles.em_terms(float(flat.real.min()),
-                               float(np.abs(flat.imag).max()), tol)
+                               float(np.abs(flat.imag).max()), _ZETA_TOL)
     out = _zeta_em_core(flat, n_terms)
     return complex(out[0]) if ss.ndim == 0 else out.reshape(ss.shape)
 

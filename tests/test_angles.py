@@ -2,6 +2,8 @@
 sums against the direct route, and the Taylor rows of sech."""
 import decimal
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -168,15 +170,17 @@ def test_direct_rows_are_blocked_over_terms(monkeypatch):
 def test_step_matrix_row_blocks_bit_identical(monkeypatch):
     # 4096 terms fit all 64 step rows in one block by default; a smaller
     # element budget fills them four rows at a time.  The first call's
-    # matrix is kept, so the second starts from an empty store to build
+    # matrix is kept, so the second starts from an empty slot to build
     # its own
     s = 4.0 + 1j * (3000.0 + 0.125 * np.arange(256))
     whole = _zeta_em_core(s, 4096)
-    (kept,) = _angles._STEPS.values()
+    key, kept = _angles._STEPS
+    assert key == (0.125, 4096)
     monkeypatch.setattr(_angles, "ROW_ELEMS", 1 << 14)
-    monkeypatch.setattr(_angles, "_STEPS", {})
+    monkeypatch.setattr(_angles, "_STEPS", None)
     assert np.array_equal(_zeta_em_core(s, 4096), whole)
-    (rebuilt,) = _angles._STEPS.values()
+    key, rebuilt = _angles._STEPS
+    assert key == (0.125, 4096)
     assert rebuilt is not kept and np.array_equal(rebuilt, kept)
 
 
@@ -185,52 +189,55 @@ def test_step_matrix_keeps_the_last():
     first = _angles._step_matrix(0.125, log_d)
     assert _angles._step_matrix(0.125, log_d) is first
     other = _angles._step_matrix(0.25, log_d)
-    assert list(_angles._STEPS) == [(0.25, 1024)]
-    assert _angles._STEPS[(0.25, 1024)] is other
+    key, kept = _angles._STEPS
+    assert key == (0.25, 1024) and kept is other
 
 
 def test_kept_tables_are_read_only():
     _zeta_em_core(4.0 + 1j * (100.0 + 0.125 * np.arange(256)), 1024)
-    (steps,) = _angles._STEPS.values()
-    for table in (steps,) + _angles.terms(1024):
+    steps = _angles._STEPS[1]
+    built = next(_angles.term_parts(_angles._KEEP_TERMS + 1, 16))
+    for table in (steps,) + _angles.terms(1024) + built:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
 
 
 def test_terms_forms_log_n_in_parts():
-    # n (int64) and log n (longdouble) are kept, 24 bytes a term; log n is
-    # formed in parts of ROW_ELEMS, so a longdouble copy of n takes 16
-    # bytes a term of one part, not of all (40 bytes a term when whole)
-    n_terms = 1 << 22
+    # above _KEEP_TERMS term_parts builds each part alone: n (int64) and
+    # log n (longdouble), 24 bytes a term, and a longdouble copy of n
+    # while log n is formed, 16 more.  With the last part still held by
+    # the reader that is 64 bytes a term of one part, not 24 of all
+    n_terms, width = 1 << 22, 1 << 18
     tracemalloc.start()
     try:
-        n, log_n = _angles.terms(n_terms)
+        last = 0
+        for n, log_n in _angles.term_parts(n_terms, width):
+            assert n.size == log_n.size == width and n[0] == last + 1
+            assert not (n.flags.writeable or log_n.flags.writeable)
+            # log n bit for bit, the ends of each part included
+            at = np.r_[0:width:997, width - 1]
+            assert np.array_equal(log_n[at], _angles._log_ld(n[at]))
+            last = n[-1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * n_terms + 16 * _angles.ROW_ELEMS + (64 << 10)
-    # every element's bits, the ends of each part included
-    edges = np.arange(0, n_terms, _angles.ROW_ELEMS)
-    idx = np.unique(np.clip(np.concatenate([edges - 1, edges, edges + 1, [n_terms - 1]]),
-                            0, n_terms - 1))
-    assert np.array_equal(log_n[idx], np.log(_angles._as_ld(n[idx])))
-    rows = slice(None, None, 997)
-    assert np.array_equal(log_n[rows], _angles._log_ld(n[rows]))
+    assert last == n_terms
+    assert peak <= 64 * width + (64 << 10)  # the whole table: 24 * n_terms
 
 
 def test_terms_keeps_one_table(monkeypatch):
     # H_r and oracle term counts are rarely powers of two; they read views
     # [:N] of one kept table, sized to the power of two at or above the
     # largest N asked for up to RETAIN_TERMS and to exactly N above; a
-    # larger N replaces it, the old table dropped before the new one is
-    # built, and an N above ROW_ELEMS is built per call
-    monkeypatch.setattr(_angles, "_TERMS", {})
+    # larger N replaces it, the slot emptied before the new table is
+    # built, and an N above _KEEP_TERMS is refused: term_parts reads it
+    monkeypatch.setattr(_angles, "_TABLE", None)
     kept_at_build = []
     build = _angles._term_table
 
-    def spy(size):
-        kept_at_build.append(len(_angles._TERMS))
-        return build(size)
+    def spy(start, stop):
+        kept_at_build.append(_angles._TABLE)
+        return build(start, stop)
 
     monkeypatch.setattr(_angles, "_term_table", spy)
     counts = {h_r_series_info(t, r)[1] for t in (100.0, 1000.0, 12345.0, 1e6)
@@ -238,9 +245,9 @@ def test_terms_keeps_one_table(monkeypatch):
     z_oracle(1e8)
     counts.add(oracle_terms(1e8, 1e8))
     assert all(n & (n - 1) for n in counts)  # none a power of two
-    (size,) = _angles._TERMS
+    n_kept, log_kept = _angles._TABLE
+    size = n_kept.size
     assert size == _angles.pow2_bucket(max(counts), 1) == 4096
-    n_kept, log_kept = _angles._TERMS[size]
     for count in sorted(counts) + [size]:
         n, log_n = _angles.terms(count)
         assert n.size == log_n.size == count
@@ -248,26 +255,97 @@ def test_terms_keeps_one_table(monkeypatch):
         assert not (n.flags.writeable or log_n.flags.writeable)
     # above RETAIN_TERMS the table takes exactly N terms and replaces the last
     big = h_r_series_info(1e7, 0, 1e-20)[1]
-    assert _angles.RETAIN_TERMS < big < _angles.ROW_ELEMS
-    assert list(_angles._TERMS) == [big]
-    n, log_n = _angles._TERMS[big]
+    assert _angles.RETAIN_TERMS < big < _angles._KEEP_TERMS
+    n, log_n = _angles._TABLE
+    assert n.size == big
     assert not (n.flags.writeable or log_n.flags.writeable)
     small = _angles.terms(113)
     assert small[0].base is n and small[1].base is log_n
-    # every kept table was built with no other kept beside it
-    assert len(kept_at_build) >= 2 and not any(kept_at_build)
+    # every kept table was built with none kept beside it
+    assert len(kept_at_build) >= 2 and all(t is None for t in kept_at_build)
     # log n bit for bit at the old table's end and the new one's
     idx = np.array([0, size - 1, size, big - 1])
     assert np.array_equal(log_n[idx], _angles._log_ld(n[idx]))
     assert log_kept[-1] == _angles._log_ld(size)
-    # above ROW_ELEMS: built per call, and the kept table stays
-    huge = _angles.ROW_ELEMS + 1
-    n_h, log_h = _angles.terms(huge)
-    assert n_h.size == log_h.size == huge
-    assert n_h.base is None and log_h.base is None
-    assert not (n_h.flags.writeable or log_h.flags.writeable)
-    assert list(_angles._TERMS) == [big] and _angles._TERMS[big][1] is log_n
+    # up to _KEEP_TERMS the parts are views of the kept table
+    parts = list(_angles.term_parts(big, 1000))
+    assert all(p[1].base is log_n for p in parts)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), log_n)
+    # above _KEEP_TERMS: terms refuses, term_parts builds each part alone,
+    # and the kept table stays
+    huge = _angles._KEEP_TERMS + 1
+    with pytest.raises(ValueError, match="term_parts"):
+        _angles.terms(huge)
+    *_, (n_h, log_h) = _angles.term_parts(huge, 1 << 18)
+    assert n_h.size == log_h.size == 1 and n_h.base is None
     assert log_h[-1] == _angles._log_ld(huge)
+    assert _angles._TABLE[1] is log_n
+
+
+def test_terms_survives_a_call_during_its_build(monkeypatch):
+    # a second thread can ask for a smaller table while one is built; the
+    # spy on the builder makes that interleaving happen in one thread.  The
+    # outer call, and every later one, still gets all N terms
+    monkeypatch.setattr(_angles, "_TABLE", None)
+    build = _angles._term_table
+    inner = []
+
+    def spy(*args):
+        if not inner:
+            inner.append(None)
+            inner[0] = _angles.terms(100)
+        return build(*args)
+
+    monkeypatch.setattr(_angles, "_term_table", spy)
+    for _ in range(3):
+        n, log_n = _angles.terms(5000)
+        assert n.size == log_n.size == 5000 and n[-1] == 5000
+    assert inner[0][0].size == 100
+    assert np.array_equal(log_n, _angles._log_ld(n))
+
+
+def test_sums_from_threads_match_serial(monkeypatch):
+    # 4 threads, each running every workload in its own order from one
+    # start, so that tables of several sizes are built at once: zeta on a
+    # lattice (the kept table and step matrix) and at scattered points,
+    # H_r with N in (2^14, 2^20] (tables of exactly N terms) and the
+    # oracle above t = 500 (the main sum).  Every result equals the
+    # serial one bit for bit
+    scattered = 4.0 + 1j * np.random.default_rng(7).uniform(0.0, 3e4, 40)
+    jobs = [lambda: zeta(4.0 + 1j * (2000.0 + 0.125 * np.arange(256))),
+            lambda: zeta(scattered),
+            lambda: zeta(2.5 + 1j * (500.0 + 0.25 * np.arange(200)))]
+    jobs += [lambda t=t: h_r_series_info(t, 0) for t in (3e12, 4e13, 1e15, 2e16)]
+    jobs += [lambda t=t: z_oracle(t) for t in (600.0, 1e9, 3e10, 1e12)]
+    serial = [job() for job in jobs]
+    assert 1 << 14 < h_r_series_info(3e12, 0)[1] < h_r_series_info(2e16, 0)[1] <= 1 << 20
+    monkeypatch.setattr(_angles, "_TABLE", None)
+    monkeypatch.setattr(_angles, "_STEPS", None)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(k):
+        order = np.random.default_rng(k).permutation(len(jobs))
+        start.wait()
+        results[k] = {int(i): jobs[i]() for i in order}
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside any build
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got in results:
+        for i, ref in enumerate(serial):
+            if isinstance(ref, np.ndarray):
+                assert np.array_equal(got[i], ref), i
+            else:
+                assert got[i] == ref, i
 
 
 def test_step_matrix_memory_is_bounded(monkeypatch):
@@ -275,8 +353,8 @@ def test_step_matrix_memory_is_bounded(monkeypatch):
     # 134 MB; built in row blocks, the call peaks at 183 MB (342 MB when
     # the matrix was formed in one piece).  Above RETAIN_TERMS nothing of
     # it is kept after the call; what stays is the n and log n table of its
-    # N terms, as terms keeps one table up to ROW_ELEMS
-    monkeypatch.setattr(_angles, "_TERMS", {})
+    # N terms, as terms keeps one table up to _KEEP_TERMS
+    monkeypatch.setattr(_angles, "_TABLE", None)
     s = 4.0 + 1j * (1e5 + 0.125 * np.arange(128))
     matrix = 64 * 131072 * 16
     zeta(4.0 + 1j * (100.0 + 0.125 * np.arange(128)))  # lazy imports
@@ -287,7 +365,8 @@ def test_step_matrix_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * matrix
-    kept = sum(a.nbytes for a in _angles._TERMS[131072])
+    assert _angles._TABLE[0].size == 131072
+    kept = sum(a.nbytes for a in _angles._TABLE)
     assert current - kept < 1 << 20
 
 

@@ -33,6 +33,7 @@ _XRAY_BOXES = (
     ("100", "120", "-2", "4", "30"),
     ("7e6", "7.00001e6", "-1", "1", "3"),       # refused: exit 3
     ("1000", "1010", "-2", "4", "40"),
+    ("5e6", "5.00001e6", "-1", "1", "20"),      # 2^21 terms, read in parts
 )
 
 
@@ -44,7 +45,8 @@ def commands() -> list:
     """The argv of every command, in run order."""
     cmds = [_eval(t, "oracle") for t in
             ("0", "10", "100", "499.9", "500.1", "600", "1000", "1600", "1e4",
-             "1e6", "1e8", "1e10", "1e12")]
+             "1e6", "1e8", "1e10", "1e12",
+             "1e15")]  # a main sum of 1.26e7 terms, read in parts
     cmds += [_eval(t, "oracle", "--json") for t in ("600", "1000", "1600", "1e8")]
     cmds += [_eval(t, "approx") for t in ("10", "100", "1e4", "1e7", "72015150.94")]
     cmds += [_eval("1e4", "approx", "--json")]
