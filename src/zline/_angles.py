@@ -22,21 +22,25 @@ of rows and terms under ROW_ELEMS elements.  This module also holds what
 the sums share: log 2pi, the power-of-two term bucket, the
 Euler-Maclaurin tail with zeta's one term rule (em_terms, from the first
 term the tail leaves out), the work budget of every points x terms sum,
-the bound (0, EPS_MAX] of every tail target eps with its one check, and
-n with log n from one place.  Two tables are kept between calls,
-read-only, each in a slot of one value that a call reads once and that is
-replaced whole, so calls from several threads never see each other's: the
-last step matrix of at most RETAIN_TERMS (16384) terms (16 MB), and one
-table of n with log n (terms) of at most 2^20 terms (24 MB), replaced by a
-larger one when a call needs more terms.  A longer sum reads n and log n
+the bound (0, EPS_MAX] of every tail target eps with its one check, n
+with log n from one place, and exact_sum, the exactly rounded sum of
+complex arrays (what math.fsum gives, binned by exponent in numpy) that
+the H_r series and the trapezoid rule of quad share.  Two tables are kept
+between calls, read-only, each in a slot of one value that a call reads
+once and that is replaced whole, so calls from several threads never see
+each other's: the last step matrix of at most RETAIN_TERMS (16384) terms
+(16 MB), and one table of n with log n (terms) of at most 2^20 terms
+(24 MB), replaced by a larger one when a call needs more terms.  A longer sum reads n and log n
 in parts (term_parts), each built alone, so no table of more than 2^20
 terms is formed.
 """
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Context, Decimal
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -79,6 +83,25 @@ TAYLOR_MAX_ORDER = 16
 SECH_RADIUS = 0.5 * math.pi
 #: largest tail target eps a route takes: every eps lies in (0, EPS_MAX]
 EPS_MAX = 1e-3
+
+# complex values exact_sum bins at once, bounding its temporaries
+_SUM_BLOCK = 1 << 14
+# fewer values left of an array go into exact_sum's final fsum as they are:
+# binning has a fixed cost of about that many values summed by fsum
+_SUM_BIN_MIN = 1 << 10
+# values whose bins stay exact: a bin adds integers below 2^26, or
+# multiples of 2^-27 below 1, and fewer than 2^26 of either fit 53 bits
+_SUM_EXACT = 1 << 26
+# np.frexp writes a double as m 2^e, e in [_SUM_E_MIN, max_exp]
+_SUM_E_MIN = sys.float_info.min_exp - sys.float_info.mant_dig + 1
+_SUM_SPAN = sys.float_info.max_exp - _SUM_E_MIN + 1
+# the bin of each double of a block viewed as float, less its exponent:
+# real parts from 0, imaginary parts from _SUM_SPAN
+_SUM_KEYS = np.tile(np.array([-_SUM_E_MIN, _SUM_SPAN - _SUM_E_MIN], dtype=np.intp),
+                    _SUM_BLOCK)
+# the power of two each bin stands for, 2^(e - 26) for its exponent e
+_SUM_SCALE = np.tile(np.arange(_SUM_E_MIN - 26, _SUM_E_MIN - 26 + _SUM_SPAN,
+                               dtype=np.intc), 4)
 
 # B_{2k}/(2k)! for k = 1..4, the Euler-Maclaurin correction depth (B8).
 _EM_COEF = (
@@ -213,6 +236,87 @@ def taylor_sum(rows, d):
     for row in rows[-2::-1]:
         acc = acc * d + row
     return acc
+
+
+def _add_bins(block, acc) -> None:
+    """Add the bins of one contiguous complex block to acc, of shape
+    (2, 2, _SUM_SPAN): per part (real, imaginary), the integer pieces and
+    the rests of m 2^26 summed per exponent; refused (ValueError) where a
+    value is not finite."""
+    x = block.view(float)
+    if not np.isfinite(x).all():
+        raise ValueError("exact_sum takes finite values")
+    mant, exp = np.frexp(x)
+    mant *= 2.0 ** 26
+    whole = np.trunc(mant)
+    rest = np.subtract(mant, whole, out=mant)
+    keys = exp + _SUM_KEYS[:exp.size]
+    acc[:, 0] += np.bincount(keys, whole, 2 * _SUM_SPAN).reshape(2, _SUM_SPAN)
+    acc[:, 1] += np.bincount(keys, rest, 2 * _SUM_SPAN).reshape(2, _SUM_SPAN)
+
+
+def _bin_values(acc, re, im) -> None:
+    """Append to re and to im the nonzero bins of acc of their part, each
+    scaled back to the exact double it stands for."""
+    bins = acc.ravel()
+    nz = (bins != 0.0).nonzero()[0]
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(bins[nz], _SUM_SCALE[nz])
+    if not np.isfinite(vals).all():
+        raise OverflowError("exact_sum: a partial sum overflows")
+    cut = np.searchsorted(nz, 2 * _SUM_SPAN)
+    re.append(vals[:cut].tolist())
+    im.append(vals[cut:].tolist())
+
+
+def _fsum(pieces) -> float:
+    """math.fsum over a list of sequences of floats."""
+    return math.fsum(pieces[0] if len(pieces) == 1 else chain.from_iterable(pieces))
+
+
+def exact_sum(parts) -> complex:
+    """The exactly rounded sums of the real and of the imaginary parts of
+    an iterable of finite 1-d complex arrays: bit for bit what math.fsum
+    gives each part of their concatenation (a correctly rounded sum is
+    unique), without a Python float per value of a long array.
+
+    np.frexp writes each double as m 2^e, 1/2 <= |m| < 1, and m 2^26 splits
+    exactly into an integer below 2^26 and a rest below 1, a multiple of
+    2^-27.  Each piece is summed per exponent and part by np.bincount: such
+    sums stay exact below _SUM_EXACT values, and once scaled back by
+    2^(e - 26) each bin is an exact double.  One math.fsum a part then
+    rounds the bins once.  Blocks of _SUM_BLOCK values bound the
+    temporaries; the last fewer than _SUM_BIN_MIN values of an array go
+    into that fsum as they are.  A non-finite value raises ValueError, and
+    a bin that overflows OverflowError, as fsum does where its partial sums
+    overflow.
+    """
+    re, im = [], []
+    acc, held = None, 0
+    for z in parts:
+        z = np.asarray(z, dtype=complex)
+        if z.ndim != 1:
+            raise ValueError("exact_sum takes 1-d arrays")
+        start = 0
+        while z.size - start >= _SUM_BIN_MIN:
+            block = np.ascontiguousarray(z[start:start + _SUM_BLOCK])
+            if held + block.size > _SUM_EXACT:
+                _bin_values(acc, re, im)
+                acc, held = None, 0
+            if acc is None:
+                acc = np.zeros((2, 2, _SUM_SPAN))
+            _add_bins(block, acc)
+            held += block.size
+            start += block.size
+        if start < z.size:
+            re.append(memoryview(z[start:].real))
+            im.append(memoryview(z[start:].imag))
+    if acc is not None:
+        _bin_values(acc, re, im)
+    re, im = _fsum(re), _fsum(im)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError("exact_sum takes finite values")
+    return complex(re, im)
 
 
 # the one n and log n table terms keeps, (n, log n) for n = 1..M, or None;

@@ -15,11 +15,11 @@ the discretization error decays like exp(-2 pi / step) and the tail
 truncation, controlled by the tail target eps, dominates.  Off sigma = 4
 the kernel's poles at x - t = +-i(sigma - 1/2) leave an error of about
 4 exp(-2 pi (sigma - 1/2) / step) of |F|; below sigma ~ 1.18 f_integral
-shrinks the step to hold it at roundoff.  Final reductions use
-math.fsum, which keeps the huge-integrand cancellation in F exact to the
-last bit; staged differences share their sample lattice so common terms
-cancel exactly.  The tail target is one float eps in (0, 1e-3]
-(_angles.EPS_MAX), 1e-10 by default.
+shrinks the step to hold it at roundoff.  Final reductions are exactly
+rounded (_angles.exact_sum, the sum math.fsum gives), which keeps the
+huge-integrand cancellation in F exact to the last bit; staged differences
+share their sample lattice so common terms cancel exactly.  The tail
+target is one float eps in (0, 1e-3] (_angles.EPS_MAX), 1e-10 by default.
 """
 from __future__ import annotations
 
@@ -113,11 +113,9 @@ def omega_kernel(sigma: float, t):
     return out
 
 
-def _trapz_fsum(y: np.ndarray, x: np.ndarray) -> complex:
-    """Trapezoid rule with exactly rounded summation (complex y)."""
-    cells = 0.5 * (y[:-1] + y[1:]) * np.diff(x)
-    return complex(math.fsum(memoryview(cells.real)),
-                   math.fsum(memoryview(cells.imag)))
+def _trapz(y: np.ndarray, x: np.ndarray) -> complex:
+    """Trapezoid rule with exactly rounded summation (_angles.exact_sum)."""
+    return _angles.exact_sum([0.5 * (y[:-1] + y[1:]) * np.diff(x)])
 
 
 def strip_solve(p: StripProblem, sigma: float, t: float) -> float:
@@ -147,7 +145,7 @@ def strip_solve(p: StripProblem, sigma: float, t: float) -> float:
     u = (xs - t) / w
     ya = np.asarray(p.boundary_a(xs), dtype=float) * omega_kernel((sigma - p.a) / w, u)
     yb = np.asarray(p.boundary_b(xs), dtype=float) * omega_kernel((p.b - sigma) / w, u)
-    total = _trapz_fsum((ya + yb).astype(complex), xs)
+    total = _trapz(ya + yb, xs)
     return total.real / (2.0 * w)
 
 
@@ -237,7 +235,7 @@ def f_integral(t: float, sigma: float = 4.0, eps: float = 1e-10) -> complex:
     n = int(math.ceil(half / h))
     xs = t + h * np.arange(-n, n + 1)
     y = f_on_line(xs, sigma) * kernel(xs - t, 2.0 * sigma - 1.0)
-    return _trapz_fsum(y, xs)
+    return _trapz(y, xs)
 
 
 def z_from_integral(t: float, sigma: float = 4.0,
@@ -269,8 +267,8 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     Odlyzko-Schoenhage.  zeta on the lattice takes the lattice route of
     _angles.dirichlet_sums (in slices of 65536 samples, 8192 in t).  The
     products are BLAS sums (deterministic for fixed shapes); the small
-    loss of the fsum guarantee only perturbs tracked phases at the 1e-10
-    rad level.  Work over the budget, zeta's and then the kernel's
+    loss of exact rounding only perturbs tracked phases at the 1e-10 rad
+    level.  Work over the budget, zeta's and then the kernel's
     (points x (2w + 2) terms), is refused before anything per t is formed.
     """
     ts = np.asarray(ts, dtype=float)
@@ -386,14 +384,14 @@ def f_staged(t: float, stage: int, eps: float = 1e-10) -> complex:
             y = h_exact(xs) * z * kernel(xs - t)
         else:
             y = rho0(xs) * np.exp(1j * theta(xs)) * z * kernel(xs - t)
-        return _trapz_fsum(y, xs)
+        return _trapz(y, xs)
 
     half4 = max(_stage4_half(t, eps), half1)
     half = half1 if stage == 3 else half4
     us = _window_nodes(0.0, -half, half, h)
     y = (l1(us, t) * _angles.sqrt_scale_pow_iu(t, us)
          * _zeta_to(t + us, t + half4) * kernel(us))
-    integral = _trapz_fsum(y, us)
+    integral = _trapz(y, us)
     th_t = theta_mod_2pi(t)
     pref = rho0(t) * complex(math.cos(th_t), math.sin(th_t))
     return pref * integral

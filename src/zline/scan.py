@@ -65,18 +65,32 @@ class PhaseTrack:
     phase: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        phase = np.asarray(self.phase, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "phase", phase)
+        self._store(self.grid, self.phase)
+        if np.any(np.diff(self.grid) <= 0.0):
+            raise ValueError("grid must be strictly increasing")
+        if np.any(np.abs(np.diff(self.phase)) >= _HALF_PI):
+            raise PhaseTrackError("phase step of pi/2 or more; track is not resolved")
+
+    def _store(self, grid, phase) -> None:
+        """Keep grid and phase as float arrays, refusing other shapes than
+        two 1-d arrays of equal length, at least two samples."""
+        grid = np.asarray(grid, dtype=float)
+        phase = np.asarray(phase, dtype=float)
         if grid.ndim != 1 or grid.shape != phase.shape:
             raise ValueError("grid and phase must be 1-d arrays of equal length")
         if grid.size < 2:
             raise ValueError("a phase track needs at least two samples")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(np.abs(np.diff(phase)) >= _HALF_PI):
-            raise PhaseTrackError("phase step of pi/2 or more; track is not resolved")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "phase", phase)
+
+    @classmethod
+    def _resolved(cls, grid, phase) -> "PhaseTrack":
+        """The track of a strictly increasing grid whose phase steps are
+        below pi/2, as _track_values has checked them: built without
+        checking them again."""
+        track = object.__new__(cls)
+        track._store(grid, phase)
+        return track
 
     @property
     def delta(self) -> float:
@@ -139,7 +153,7 @@ def _track_values(ts: np.ndarray, vals: np.ndarray, source: str) -> PhaseTrack:
     phase = np.empty(ts.size)
     phase[0] = math.atan2(vals[0].imag, vals[0].real)
     phase[1:] = phase[0] + _cumsum_stable(steps)
-    return PhaseTrack(ts, phase)
+    return PhaseTrack._resolved(ts, phase)
 
 
 def _cumsum_stable(steps: np.ndarray) -> np.ndarray:

@@ -14,9 +14,11 @@ where m_r is the sech derivative factor above.  The leading series H = H_0
 drives the approximation Z(t) ~ (t/2pi)^{7/4} Re{e^{i theta(t)} H(t)}
 (z_approx), and g_series assembles the full bracket G of H_0..H_4 that
 mirrors the L1 polynomial of the staged integrals; z_g is Re G over the
-denominator of Z.  Each function takes its tail target as one float eps
-in (0, 1e-3] (_angles.EPS_MAX): h_r_series_info and g_series in the
-units of H, the two Z routes in Z units, which also return their est.
+denominator of Z.  H_r forms its terms in parts of the shared n and log n
+(_angles.term_parts) and sums them exactly rounded (_angles.exact_sum).
+Each function takes its tail target as one float eps in (0, 1e-3]
+(_angles.EPS_MAX): h_r_series_info and g_series in the units of H, the
+two Z routes in Z units, which also return their est.
 """
 from __future__ import annotations
 
@@ -144,9 +146,10 @@ def h_r_series_info(t: float, r: int, eps: float = 1e-10
     (t/2pi n^2)^{-7/4}), which is exactly sech(y_n) and is evaluated in
     that stable form.
 
-    Phases of n^{-it} are reduced mod 2pi in extended precision; the real
-    and imaginary sums are exactly rounded (fsum), so the result is
-    deterministic and independent of summation order.
+    Phases of n^{-it} are reduced mod 2pi in extended precision.  The terms
+    are formed in parts of RETAIN_TERMS (_angles.term_parts), and the real
+    and imaginary sums are exactly rounded (_angles.exact_sum), so the
+    result is deterministic and independent of summation order.
     """
     _angles.check_eps(eps)
     if not t > 0.0:
@@ -154,13 +157,12 @@ def h_r_series_info(t: float, r: int, eps: float = 1e-10
     if not 0 <= r <= 8:
         raise ValueError("h_r_series_info supports 0 <= r <= 8")
     n_terms = _n_terms(t, r, math.log(eps), f"H_{r}({t:g})")
-    n, log_n = _angles.terms(n_terms)
-    # y_n = (7/4) log(t/(2 pi n^2)) free of cancellation, freed before the phases
-    amp = _m_r(1.75 * (math.log(t) - _angles.LOG_2PI - 2.0 * np.log(n)), r) * n ** -4.0
-    terms = amp * _angles.n_pow_minus_it(t, log_n)
-    # fsum straight from a memoryview: no list of N Python floats
-    value = (3.5j) ** r * complex(math.fsum(memoryview(terms.real)),
-                                  math.fsum(memoryview(terms.imag)))
+    log_scale = math.log(t) - _angles.LOG_2PI
+    # y_n = (7/4) log(t/(2 pi n^2)) free of cancellation
+    terms = (_m_r(1.75 * (log_scale - 2.0 * np.log(n)), r) * n ** -4.0
+             * _angles.n_pow_minus_it(t, log_n)
+             for n, log_n in _angles.term_parts(n_terms, _angles.RETAIN_TERMS))
+    value = (3.5j) ** r * _angles.exact_sum(terms)
     return value, n_terms, math.exp(_log_lead(t, r) - 6.5 * math.log(n_terms)) / 6.5
 
 
@@ -183,8 +185,8 @@ def h_series_grid(ts) -> np.ndarray:
     n at once; elsewhere (refinement points, short or scattered grids, the
     blocks near t ~ 1 where |d| is too large) as the same rows at c = t,
     order 0.  Summation is a fixed-shape BLAS product or numpy's pairwise
-    reduction: deterministic, and the fsum guarantee of the scalar route
-    is not needed for tracking-grade phases.
+    reduction: deterministic, and the exactly rounded sums of the scalar
+    route are not needed for tracking-grade phases.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:

@@ -1,5 +1,6 @@
 """The n^{-it} kernel against a 40-digit decimal reference, the lattice
-sums against the direct route, and the Taylor rows of sech."""
+sums against the direct route, the Taylor rows of sech, and exact_sum
+against math.fsum."""
 import decimal
 import math
 import sys
@@ -18,6 +19,7 @@ from zline import (
     z_oracle,
     zeta,
 )
+from zline.series import _h_eps
 from zline.special import _zeta_em_core
 
 _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
@@ -472,3 +474,126 @@ def test_zeta_refuses_work_over_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ------------------------------------------------------------ exact sums
+
+def _fsum_hex(parts):
+    """math.fsum of the real and of the imaginary parts of the
+    concatenated parts, as float.hex: the correctly rounded sums."""
+    z = np.concatenate(parts)
+    return math.fsum(z.real.tolist()).hex(), math.fsum(z.imag.tolist()).hex()
+
+
+def _exact_hex(parts):
+    got = _angles.exact_sum(iter(parts))
+    return got.real.hex(), got.imag.hex()
+
+
+def _wide(rng, size):
+    """Random doubles of every exponent, 2^-1074 to 2^1000, both signs;
+    subnormals among them."""
+    return (rng.uniform(0.5, 1.0, size) * rng.choice([-1.0, 1.0], size)
+            * np.ldexp(1.0, rng.integers(-1074, 1001, size)))
+
+
+def _split(rng, z, k):
+    """z cut into k parts at random places (some of them empty)."""
+    return np.split(z, np.sort(rng.integers(0, z.size + 1, k - 1)))
+
+
+_BIN_MIN, _BLOCK = _angles._SUM_BIN_MIN, _angles._SUM_BLOCK
+_SIZES = (1, _BIN_MIN - 1, _BIN_MIN, _BIN_MIN + 1, 3000,
+          _BLOCK - 1, _BLOCK, _BLOCK + 1, 40000)
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_exact_sum_equals_fsum(size):
+    # the bins go through fsum once, so the sum is the correctly rounded
+    # one however the values are cut into parts and blocks
+    rng = np.random.default_rng(size)
+    vectors = [
+        _wide(rng, 2 * size),
+        rng.integers(-2 ** 52, 2 ** 52, 2 * size) * 2.0 ** -1074,  # subnormals
+        rng.standard_normal(2 * size) * 2.0 ** rng.integers(-60, 60, 2 * size),
+        np.repeat(rng.standard_normal(size), 2)
+        * np.tile([1.0, -(1.0 + 1e-16)], size),  # x, then -x (1 + 1e-16)
+        rng.choice([1.0, -1.0, 2.0 ** -53, 2.0 ** -52, 3.0 * 2.0 ** -54], 2 * size),
+    ]
+    for x in vectors:
+        z = x.view(complex)
+        for k in range(1, 6):
+            parts = _split(rng, z, k)
+            assert _exact_hex(parts) == _fsum_hex(parts), (size, k)
+
+
+@pytest.mark.parametrize("pad", [0, _BIN_MIN, 40000])
+def test_exact_sum_rounds_ties_to_even(pad):
+    # 1 + 2^-53 is a tie and rounds to 1; 1 + 2^-52 + 2^-53 rounds up to
+    # 1 + 2^-51.  Zeros pad the row into the binned blocks
+    re = np.zeros(pad + 3)
+    im = np.zeros(pad + 3)
+    re[[0, -1]] = 1.0, 2.0 ** -53
+    im[[0, 1 + pad // 2, -1]] = 1.0, 2.0 ** -52, 2.0 ** -53
+    z = re + 1j * im
+    assert _exact_hex([z]) == _fsum_hex([z])
+    got = _angles.exact_sum([z])
+    assert got.real == 1.0 and got.imag == 1.0 + 2.0 ** -51
+
+
+def test_exact_sum_of_nothing_is_zero():
+    for parts in ([], [np.zeros(0, dtype=complex)], [np.zeros(0)] * 3):
+        got = _angles.exact_sum(parts)
+        assert got == 0j and math.copysign(1.0, got.real) == 1.0
+
+
+def test_exact_sum_flushes_its_bins(monkeypatch):
+    # bins hold _SUM_EXACT values exactly; past that they are read out and
+    # begun again, to the same sum (here after each block of 16384)
+    monkeypatch.setattr(_angles, "_SUM_EXACT", 20000)
+    rng = np.random.default_rng(3)
+    z = _wide(rng, 2 * 50000).view(complex)
+    parts = _split(rng, z, 4)
+    assert _exact_hex(parts) == _fsum_hex(parts)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("size", [3, _BIN_MIN + 100, _BLOCK + 100])
+def test_exact_sum_refuses_non_finite(bad, size):
+    for part in ("real", "imag"):
+        z = np.ones(size, dtype=complex)
+        getattr(z, part)[size // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _angles.exact_sum([z])
+    z = np.ones(size, dtype=complex)
+    z.real[[0, -1]] = math.inf, -math.inf
+    with pytest.raises(ValueError):
+        _angles.exact_sum([z])
+
+
+def test_exact_sum_refuses_overflow():
+    # where the sum overflows both refuse, and neither returns inf
+    z = np.full(_BIN_MIN, 1.7e308, dtype=complex)
+    with pytest.raises(OverflowError):
+        _angles.exact_sum([z])
+    with pytest.raises(OverflowError):
+        math.fsum(z.real.tolist())
+
+
+def test_h_r_terms_are_formed_in_parts():
+    # H_0 at t = 72015150.94 sums 182,352 terms; formed and summed in parts
+    # of RETAIN_TERMS, it peaks at 1.5 MB beside the kept n and log n table
+    # (10.2 MB when the whole row of terms was formed at once), with the
+    # bits of the one-row sum
+    t = 72015150.94
+    eps = _h_eps(t, 1e-10)
+    h_r_series_info(t, 0, eps)  # the kept table, built outside the trace
+    tracemalloc.start()
+    try:
+        got = h_r_series_info(t, 0, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (3.2939933829243536e-12 - 9.347319983571223e-13j, 182352,
+                   4.429036685849152e-23)
+    assert peak < 4 << 20

@@ -74,6 +74,30 @@ def test_phase_track_validation():
         PhaseTrack(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
 
 
+def test_tracked_values_are_not_checked_twice(monkeypatch):
+    # _track_values checks the grid and the steps of the values itself, so
+    # its tracks skip PhaseTrack's O(n) checks; a hand-built track keeps them
+    checks = []
+    post_init = PhaseTrack.__post_init__
+    monkeypatch.setattr(PhaseTrack, "__post_init__",
+                        lambda self: checks.append(post_init(self)))
+    ts = np.linspace(0.0, 10.0, 101)
+    track = continuous_arg(zip(ts, np.exp(1j * ts)))
+    assert checks == [] and isinstance(track, PhaseTrack)
+    assert track.grid.dtype == track.phase.dtype == float
+    with pytest.raises(ValueError, match="two samples"):
+        continuous_arg([(0.0, 1.0 + 0j)])
+    bad_phase = track.phase.copy()
+    bad_phase[50:] += 1.6
+    with pytest.raises(PhaseTrackError, match="pi/2"):
+        PhaseTrack(track.grid, bad_phase)
+    with pytest.raises(ValueError, match="increasing"):
+        PhaseTrack(track.grid[::-1], track.phase)
+    assert len(checks) == 0  # both refused inside the check
+    PhaseTrack(track.grid, track.phase)
+    assert len(checks) == 1
+
+
 def test_zero_scan_report_validation():
     with pytest.raises(ValueError):
         ZeroScanReport((1.0, 0.0), np.array([]))
