@@ -13,26 +13,28 @@ Only reduced phases leave as double; where longdouble is plain double the
 phase error is correspondingly larger.
 dirichlet_sums takes a caller's amplitudes and returns the sums of zeta
 and of the H grid.  Its samples on a uniform lattice of t go through
-lattice_sums, with one exact phase per block of nodes and the nodes inside
-a block from a step matrix n^{-ijh} that depends only on the step h and
-the term count N (an amplitude that moves with t, H's sech factor, as
-Taylor rows about the block's centre, from sech_taylor; the x-ray uses
-them on its tiles too).  The other samples are summed directly, in blocks
-of rows and terms under ROW_ELEMS elements.  This module also holds what
-the sums share: log 2pi, the power-of-two term bucket, the
-Euler-Maclaurin tail with zeta's one term rule (em_terms, from the first
-term the tail leaves out), the work budget of every points x terms sum,
-the bound (0, EPS_MAX] of every tail target eps with its one check, n
-with log n from one place, and exact_sum, the exactly rounded sum of
-complex arrays (what math.fsum gives, binned by exponent in numpy) that
-the H_r series and the trapezoid rule of quad share.  Two tables are kept
-between calls, read-only, each in a slot of one value that a call reads
-once and that is replaced whole, so calls from several threads never see
-each other's: the last step matrix of at most RETAIN_TERMS (16384) terms
-(16 MB), and one table of n with log n (terms) of at most 2^20 terms
-(24 MB), replaced by a larger one when a call needs more terms.  A longer sum reads n and log n
-in parts (term_parts), each built alone, so no table of more than 2^20
-terms is formed.
+lattice_sums, one block loop with one exact phase per block of nodes and
+the nodes inside a block from a step matrix n^{-ijh} that depends only on
+the step h and the term count N.  Every amplitude comes as Taylor rows
+about the block's centre: zeta's constant n^-sigma is one row of order
+0, and H's sech factor, which moves with t, takes the rows of sech_taylor
+(the x-ray uses them on its tiles too).  The other samples are summed
+directly, in blocks of rows and terms under ROW_ELEMS elements.  This
+module also holds what the sums share: log 2pi, the power-of-two term
+bucket, the Euler-Maclaurin tail with zeta's one term rule (em_terms,
+from the first term the tail leaves out), the work budget of every points
+x terms sum, the bound (0, EPS_MAX] of every tail target eps with its one
+check and its default EPS_DEFAULT, n with log n from one place, and
+exact_sum, the exactly rounded sum of complex arrays (what math.fsum
+gives, binned by exponent in numpy) that the H_r series and the
+trapezoid rule of quad share.  Two tables are kept between calls,
+read-only, each in a slot of one value that a call reads once and that
+is replaced whole, so calls from several threads never see each other's:
+the last step matrix of at most RETAIN_TERMS (16384) terms (16 MB), and
+one table of n with log n (terms) of at most 2^20 terms (24 MB),
+replaced by a larger one when a call needs more terms.  A longer sum
+reads n and log n in parts (term_parts), each built alone, so no table
+of more than 2^20 terms is formed.
 """
 from __future__ import annotations
 
@@ -83,6 +85,8 @@ TAYLOR_MAX_ORDER = 16
 SECH_RADIUS = 0.5 * math.pi
 #: largest tail target eps a route takes: every eps lies in (0, EPS_MAX]
 EPS_MAX = 1e-3
+#: the tail target of every route and grid that is given none
+EPS_DEFAULT = 1e-10
 
 # complex values exact_sum bins at once, bounding its temporaries
 _SUM_BLOCK = 1 << 14
@@ -404,6 +408,17 @@ def _step_matrix(h: float, log_d) -> np.ndarray:
     return steps
 
 
+def _products(rows, steps, one_by_one: bool, weight=None) -> np.ndarray:
+    """(rows * weight) @ steps for rows (M, N).  one_by_one takes one
+    (N,) @ (N x B) product per row, the weighted row formed alone: BLAS
+    rounds a row by the shape of the whole product, so a fixed shape keeps
+    the nodes two calls share bit-identical."""
+    if not one_by_one:
+        return (rows if weight is None else rows * weight) @ steps
+    return np.array([(row if weight is None else row * weight) @ steps
+                     for row in rows])
+
+
 def lattice_sums(x, amp, log_n, shift=None):
     """sum_n a_n(x) n^{-ix} for the samples of x that sit on a uniform
     lattice (Odlyzko-Schoenhage in its simplest form): (on, sums), where on
@@ -414,27 +429,26 @@ def lattice_sums(x, amp, log_n, shift=None):
     above 1 << 25 elements, compute nothing.  The step h is read off the
     samples (their median spacing) and node k is round(x/h).  Blocks of B
     nodes start where k is divisible by B, so a node inside a full block
-    lands at the same block position in every call.  Each block's anchor
-    phase n^{-ix_a} is formed exactly; the rows inside it use n^{-ijh} from
-    the step matrix of _step_matrix, and the residual e = x - x_a - jh of
-    a rounded lattice enters to first order, n^{-ie} ~ 1 - ie log n,
-    through a second product with the anchor rows weighted by log n.  The
-    products sum n from N down to 1, smallest terms first.
+    lands at the same block position in every call; in order of k, a
+    block's first row is its anchor's.  Each block's anchor phase
+    n^{-ix_a} is formed exactly; the rows inside it use n^{-ijh} from the
+    step matrix of _step_matrix, and the residual e = x - x_a - jh of a
+    rounded lattice enters to first order, n^{-ie} ~ 1 - ie log n, through
+    a second product with the anchor rows weighted by log n.  The products
+    sum n from N down to 1, smallest terms first.
 
-    amp is either the amplitude row a_n, the same at every x (zeta), or,
-    with shift, a function amp(c, K) of block centres c (M,) returning the
-    K + 1 Taylor rows a_n^(k)(c)/k!, shape (K + 1, M, N), of an amplitude
-    that moves with x through one shift d = shift(x, c) common to every n:
-    a_n(x) = sum_k d^k a_n^(k)(c)/k!, the anchor rows weighted per sample
-    by d^k.  The amplitude is taken to be analytic within SECH_RADIUS of
-    the real d axis (sech, whose poles sit at +-i pi/2); each block takes
-    the order taylor_order gives for its largest |d|, and a block that
-    would need more than TAYLOR_MAX_ORDER is left to the direct route.
-    A constant amplitude is K = 0 with weight 1, and keeps one
-    (1 x N) @ (N x B) product per anchor: BLAS rounds a row by the shape
-    of the whole product, so a fixed shape keeps shared nodes
-    bit-identical across calls.  Taylor rows carry no such invariant and
-    go in one stacked product per order and row chunk.
+    amp(c, K) gives, for block centres c (M,), the K + 1 Taylor rows
+    a_n^(k)(c)/k! of the amplitude, shape (K + 1, M, N) or one that
+    broadcasts to it.  The amplitude moves with x through one shift
+    d = shift(x, c) common to every n, a_n(x) = sum_k d^k a_n^(k)(c)/k!,
+    and is taken to be analytic within SECH_RADIUS of the real d axis
+    (sech, whose poles sit at +-i pi/2); without shift, d = 0.  Each block
+    takes the order taylor_order gives for its largest |d|, and a block
+    that would need more than TAYLOR_MAX_ORDER is left to the direct
+    route.  An order-0 block (every block of a constant amplitude, zeta's)
+    keeps one (1 x N) @ (N x B) product per anchor (see _products); the
+    Taylor rows of higher orders go in one stacked product per order and
+    row chunk.
     """
     x = np.asarray(x, dtype=float)
     on = np.zeros(x.shape, dtype=bool)
@@ -445,51 +459,32 @@ def lattice_sums(x, amp, log_n, shift=None):
     h = float(np.median(np.diff(x)))
     if not (h > 0.0 and np.all(np.abs(x) < h * 2.0 ** 52)):
         return on, sums
-    block, j = np.divmod(np.round(x / h).astype(np.int64), _LATTICE_BLOCK)
-    order = np.argsort(block, kind="stable")
-    starts = np.flatnonzero(np.diff(block[order], prepend=block[order[0]] - 1))
+    k = np.round(x / h).astype(np.int64)
+    order = np.argsort(k, kind="stable")
+    block, j = np.divmod(k[order], _LATTICE_BLOCK)
+    del k
+    starts = np.flatnonzero(np.diff(block, prepend=block[0] - 1))
     del block
     group = np.repeat(np.arange(starts.size), np.diff(np.append(starts, x.size)))
-    j_o = j[order]
-    # each block's anchor sits below its first row of lowest position
-    lowest = np.flatnonzero(j_o == np.minimum.reduceat(j_o, starts)[group])
-    first = order[lowest[np.searchsorted(group[lowest], np.arange(starts.size))]]
-    del lowest
-    x_a = x[first] - j[first] * h
+    x_a = x[order[starts]] - j[starts] * h
     e = x[order]
     e -= x_a[group]
-    e -= j_o * h
-    del j_o
+    e -= j * h
     ok = np.abs(e) <= _LATTICE_SLACK
     kept = np.bincount(group[ok], minlength=starts.size) >= _LATTICE_MIN_ROWS
     ok &= kept[group]
     if not ok.any():
         return on, sums
     # the kept rows, block by block, with their block's index among the kept
-    rows, eps = order[ok], e[ok]
+    rows, eps, j = order[ok], e[ok], j[ok]
     blk = (np.cumsum(kept) - 1)[group[ok]]
     anchors = x_a[kept]
     counts = np.bincount(blk)
     log_d = log_n[::-1]
     log_d_f = np.asarray(log_d, dtype=float)
-    chunk = max(1, ROW_ELEMS // n_terms)
     steps = _step_matrix(h, log_d)
-    if shift is None:
-        amp_d = amp[::-1]
-        cuts = np.cumsum(counts)[:-1]
-        row_sets, eps_sets = np.split(rows, cuts), np.split(eps, cuts)
-        for start in range(0, anchors.size, chunk):
-            anchor_rows = amp_d * n_pow_minus_it(anchors[start:start + chunk], log_d)
-            for a, row in enumerate(anchor_rows, start=start):
-                r, e = row_sets[a], eps_sets[a]
-                s = (row @ steps)[j[r]]
-                if np.any(e != 0.0):
-                    s = s - 1j * e * ((row * log_d_f) @ steps)[j[r]]
-                sums[r] = s
-                on[r] = True
-        return on, sums
     centres = anchors + (_LATTICE_BLOCK // 2) * h
-    d = shift(x[rows], centres[blk])
+    d = np.zeros(rows.size) if shift is None else shift(x[rows], centres[blk])
     firsts = np.cumsum(counts) - counts
     q = np.maximum.reduceat(np.abs(d), firsts) / SECH_RADIUS
     orders = taylor_order(q)
@@ -508,23 +503,27 @@ def lattice_sums(x, amp, log_n, shift=None):
         span = max(1, ROW_ELEMS // (4 * (kk + 1) * n_terms))
         for start in range(0, sel.size, span):
             blocks = sel[start:start + span]
+            taylor = amp(centres[blocks], kk)[..., ::-1] * n_pow_minus_it(
+                anchors[blocks], log_d)
+            taylor = taylor.reshape(-1, n_terms)
+            prod = _products(taylor, steps, kk == 0).reshape(kk + 1, -1)
+            # the rows of these blocks, taken once the anchor rows are
+            # formed, so that they add nothing to the temporaries' peak,
+            # each with its column (block, position) in the products
             size = int(counts[blocks].sum())
             at = by_order[pos:pos + size]
             pos += size
             r, dd, ee = rows[at], d[at], eps[at]
-            b = np.repeat(np.arange(blocks.size), counts[blocks])
-            taylor = amp(centres[blocks], kk)[..., ::-1] * n_pow_minus_it(
-                anchors[blocks], log_d)
-            taylor = taylor.reshape(-1, n_terms)
-            prod = (taylor @ steps).reshape(kk + 1, blocks.size, _LATTICE_BLOCK)
-            s = taylor_sum(prod[:, b, j[r]], dd)
+            col = np.repeat(np.arange(0, blocks.size * _LATTICE_BLOCK, _LATTICE_BLOCK),
+                            counts[blocks]) + j[at]
+            s = taylor_sum(prod[:, col], dd)
             # the residual takes the order its smaller size needs
             err = float(resid[blocks].max())
             if err > 0.0:
                 ke = int(taylor_order(q[blocks].max(), TAYLOR_TOL / err))
-                fix = ((taylor[:(ke + 1) * blocks.size] * log_d_f) @ steps).reshape(
-                    ke + 1, blocks.size, _LATTICE_BLOCK)
-                s = s - 1j * ee * taylor_sum(fix[:, b, j[r]], dd)
+                fix = _products(taylor[:(ke + 1) * blocks.size], steps, kk == 0,
+                                log_d_f).reshape(ke + 1, -1)
+                s = s - 1j * ee * taylor_sum(fix[:, col], dd)
             sums[r] = s
             on[r] = True
     return on, sums
@@ -532,7 +531,7 @@ def lattice_sums(x, amp, log_n, shift=None):
 
 def dirichlet_sums(x, n_terms: int, direct, amp=None, shift=None) -> np.ndarray:
     """sum_n a_n(x) n^{-ix} at every sample of x, n = 1..N.  Given amp, a
-    function of the table n = 1..N returning the amplitude in the form
+    function of the table n = 1..N returning the Taylor rows amp(c, K) that
     lattice_sums takes (with shift), the samples on a uniform lattice take
     that route, 65536 samples a call, wherever the lattice can run.  Every
     other sample is summed directly from direct(rows, n), the amplitude

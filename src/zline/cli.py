@@ -253,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--t", type=_finite, required=True)
     p_eval.add_argument("--method", choices=_METHODS, required=True)
     p_eval.add_argument("--sigma", type=_finite, default=4.0)
-    p_eval.add_argument("--eps", type=_finite, default=1e-10,
+    p_eval.add_argument("--eps", type=_finite, default=_angles.EPS_DEFAULT,
                         help="target error in Z units, in (0, 1e-3]")
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)

@@ -19,7 +19,10 @@ shrinks the step to hold it at roundoff.  Final reductions are exactly
 rounded (_angles.exact_sum, the sum math.fsum gives), which keeps the
 huge-integrand cancellation in F exact to the last bit; staged differences
 share their sample lattice so common terms cancel exactly.  The tail
-target is one float eps in (0, 1e-3] (_angles.EPS_MAX), 1e-10 by default.
+target is one float eps in (0, 1e-3] (_angles.EPS_MAX), 1e-10
+(_angles.EPS_DEFAULT) by default.  Near sigma = 5 the branch point of f
+at x = -i(5 - sigma) caps the step too, and f_integral refuses a node
+count over its cap or the work budget before it forms the nodes.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _angles
 from .errors import ConvergenceError
 from .phase import h_exact, l1, rho0, theta, theta_mod_2pi, z_denominator
-from .special import ln_gamma, zeta
+from .special import ln_gamma, zeta, zeta_terms
 
 __all__ = [
     "StripProblem",
@@ -48,6 +51,9 @@ __all__ = [
 ]
 
 _MAX_WINDOW = 1.0e5
+# most trapezoid nodes f_integral forms: its node arrays take ~240 bytes a
+# node (250 MB here); only a step capped next to sigma = 5 reaches it
+_MAX_NODES = 1 << 20
 # trapezoid spacing of f_integral, f_integral_grid, f_staged and
 # strip_solve: staged differences cancel only on one shared lattice
 _STEP = 0.125
@@ -168,6 +174,12 @@ def _log_g(s: np.ndarray) -> np.ndarray:
             + np.log(-(s - 3.0)) - s * _angles.LOG_2PI + logcos + ln_gamma(s))
 
 
+def _check_sigma(sigma: float) -> None:
+    """Refuse (ValueError) a line sigma outside (1/2, 5), or at 3."""
+    if not 0.5 < sigma < 5.0 or abs(sigma - 3.0) < 1e-9:
+        raise ValueError("sigma must lie in (1/2, 5) excluding 3")
+
+
 def f_on_line(x, sigma: float = 4.0):
     """f(sigma+ix) on the vertical line, for sigma in (1/2,5) except 3.
 
@@ -178,8 +190,7 @@ def f_on_line(x, sigma: float = 4.0):
     takes its limit -sqrt 3.  zeta is evaluated at the given abscissae
     only.  Scalars or arrays of any shape; f(sigma-ix) = conj f(sigma+ix).
     """
-    if not 0.5 < sigma < 5.0 or abs(sigma - 3.0) < 1e-9:
-        raise ValueError("sigma must lie in (1/2, 5) excluding 3")
+    _check_sigma(sigma)
     xx = np.asarray(x, dtype=float).ravel()
     if sigma == 4.0:
         z = zeta(4.0 + 1j * xx)  # over the work budget: refused before h
@@ -219,27 +230,42 @@ def _f_window(t: float, sigma: float, eps: float) -> float:
     return half
 
 
-def f_integral(t: float, sigma: float = 4.0, eps: float = 1e-10) -> complex:
+def f_integral(t: float, sigma: float = 4.0,
+               eps: float = _angles.EPS_DEFAULT) -> complex:
     """F(t) = int f(sigma+ix) kernel(x-t, 2 sigma-1) dx, exact representation.
 
     Re F(t) is independent of sigma and equals Z(t) sqrt(1/4+t^2)
     sqrt(25/4+t^2).  The window's two tails are each below eps.  The step
-    is 1/8, finer below sigma ~ 1.18 where the kernel narrows.  Negative t
-    by reflection F(-t) = conj F(t).
+    is 1/8, finer below sigma ~ 1.18 where the kernel narrows, and near
+    sigma = 5, where g's zero at s = 5 puts a branch point of f at
+    x = -i(5 - sigma): its trapezoid error, ~exp(-2 pi (5 - sigma)/step)
+    weighed by the kernel at distance t, is held below _STEP_TOL / 4.
+    Nodes x zeta terms over the work budget, or more than _MAX_NODES
+    nodes, are refused (ConvergenceError) before the nodes are formed.
+    Negative t by reflection F(-t) = conj F(t).
     """
     _angles.check_eps(eps)
+    _check_sigma(sigma)
     if t < 0.0:
         return complex(np.conj(f_integral(-t, sigma, eps)))
     half = _f_window(t, sigma, eps)
-    h = min(_STEP, 2.0 * math.pi * (sigma - 0.5) / math.log(4.0 / _STEP_TOL))
+    log_tol = math.log(4.0 / _STEP_TOL)
+    h = min(_STEP, 2.0 * math.pi * (sigma - 0.5) / log_tol)
+    room = log_tol - math.pi * t / (2.0 * sigma - 1.0)
+    if room > 0.0:
+        h = min(h, 2.0 * math.pi * (5.0 - sigma) / room)
     n = int(math.ceil(half / h))
+    _angles.check_work(2 * n + 1, zeta_terms(sigma, t + h * n))
+    if 2 * n + 1 > _MAX_NODES:
+        raise ConvergenceError(f"F needs {2 * n + 1} nodes at step {h:.3g}, "
+                               f"above the cap of {_MAX_NODES}")
     xs = t + h * np.arange(-n, n + 1)
     y = f_on_line(xs, sigma) * kernel(xs - t, 2.0 * sigma - 1.0)
     return _trapz(y, xs)
 
 
 def z_from_integral(t: float, sigma: float = 4.0,
-                    eps: float = 1e-10) -> tuple[float, float]:
+                    eps: float = _angles.EPS_DEFAULT) -> tuple[float, float]:
     """Z(t) = Re F(t) / z_denominator(t) at sigma, and its est: two tails of
     eps and the trapezoid's _STEP_TOL of rho0(t) (the scale of F) over the
     denominator, plus 1e-14 for the division."""
@@ -257,7 +283,7 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     Used by the phase trackers.  Each t is summed by the trapezoid rule
     over its own window of samples, j = k - w .. k + w + 1 about
     k = floor(t/h), with w = ceil(W/h) and W the _f_window of the largest
-    t at eps 1e-10.  Its kernel row K(mh - r), m = -w .. w + 1, depends
+    t at eps EPS_DEFAULT.  Its kernel row K(mh - r), m = -w .. w + 1, depends
     only on the offset r = t - kh.  Offsets are binned to _OFFSET_TOL, and a bin
     takes the rows K and K' at its centre c, to first order in r - c:
     K(mh - r) ~ K(mh - c) - (r - c) K'(mh - c).  A uniform grid has a few
@@ -277,7 +303,7 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     if np.any(ts < 0.0) or np.any(ts[1:] < ts[:-1]):
         raise ValueError("ts must be ascending and nonnegative")
     h = _STEP
-    w = math.ceil(_f_window(float(ts[-1]), 4.0, 1e-10) / h)
+    w = math.ceil(_f_window(float(ts[-1]), 4.0, _angles.EPS_DEFAULT) / h)
     lo = math.floor(ts[0] / h) - w
     y = f_on_line(h * np.arange(lo, math.floor(ts[-1] / h) + w + 2))
     _angles.check_work(ts.size, 2 * w + 2)
@@ -350,7 +376,7 @@ def _zeta_to(x, reach: float) -> np.ndarray:
     return zeta(4.0 + 1j * np.append(x, reach))[:-1]
 
 
-def f_staged(t: float, stage: int, eps: float = 1e-10) -> complex:
+def f_staged(t: float, stage: int, eps: float = _angles.EPS_DEFAULT) -> complex:
     """Staged approximations of F(t) for t >= 20, windows sized for a tail
     target eps.
 

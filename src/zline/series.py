@@ -138,7 +138,7 @@ def _n_terms(t: float, r: int, log_eps: float, what: str) -> int:
     return n_terms
 
 
-def h_r_series_info(t: float, r: int, eps: float = 1e-10
+def h_r_series_info(t: float, r: int, eps: float = _angles.EPS_DEFAULT
                     ) -> tuple[complex, int, float]:
     """H_r(t) = (7i/2)^r sum_n n^{-4-it} m_r(y_n), truncated at the first N
     whose proven tail bound drops below eps: (value, N, the tail bound of
@@ -170,13 +170,13 @@ def h_grid_terms(t_max: float, points: int) -> int:
     """Term count of an H grid whose largest t is t_max; refuses
     (ConvergenceError) a count above the cap, or `points` points of it
     above the work budget, before anything is allocated."""
-    n_terms = _n_terms(t_max, 0, math.log(1e-10), "H grid")
+    n_terms = _n_terms(t_max, 0, math.log(_angles.EPS_DEFAULT), "H grid")
     _angles.check_work(points, n_terms)
     return n_terms
 
 
 def h_series_grid(ts) -> np.ndarray:
-    """H(t) over an array of t > 0 at the default eps 1e-10, sharing one
+    """H(t) over an array of t > 0 at the default eps EPS_DEFAULT, sharing one
     term range (sized for the largest t); refused over the work budget.
 
     One _angles.dirichlet_sums call, with the amplitude n^-4 sech(y_n):
@@ -225,7 +225,7 @@ def _series_est(t: float, eps: float, value: float, amp: float) -> float:
     return eps + 1e-12 * (1.0 + abs(value)) + _angles.ld_ulp(theta(t)) * amp
 
 
-def z_approx(t: float, eps: float = 1e-10) -> tuple[float, float]:
+def z_approx(t: float, eps: float = _angles.EPS_DEFAULT) -> tuple[float, float]:
     """(t/2pi)^{7/4} Re{e^{i theta(t)} H(t)}, the series approximation to
     Z(t), and its est, for a tail target eps; all three in Z units.  One
     sum of H gives both: the est takes amp = (t/2pi)^{7/4} |H|."""
@@ -238,7 +238,7 @@ def z_approx(t: float, eps: float = 1e-10) -> tuple[float, float]:
     return value, _series_est(t, eps, value, scale * abs(h))
 
 
-def g_series(t: float, eps: float = 1e-10) -> complex:
+def g_series(t: float, eps: float = _angles.EPS_DEFAULT) -> complex:
     """The series route to the full-line staged integral (stage 4):
     e^{i theta} rho0 times the bracket, the L1 polynomial (L1_TERMS) with
     x^r replaced by H_r, for a tail target eps of the bracket.  Exists to
@@ -263,7 +263,7 @@ def g_series(t: float, eps: float = 1e-10) -> complex:
     return rho0(t) * complex(math.cos(ph), math.sin(ph)) * bracket
 
 
-def z_g(t: float, eps: float = 1e-10) -> tuple[float, float]:
+def z_g(t: float, eps: float = _angles.EPS_DEFAULT) -> tuple[float, float]:
     """Re G(t) / z_denominator(t), the series route to Z through G =
     g_series(t), and its est, for a tail target eps; all three in Z
     units."""

@@ -98,8 +98,9 @@ def _zeta_em_core(s, n_terms: int):
     """Euler-Maclaurin zeta for an array of s with common term count: the
     sum over n <= N by _angles.dirichlet_sums, plus the tail.  With one
     Re s for the whole call (and two samples or more), the rows on a
-    uniform lattice in Im s take the lattice route with the row n^-s; the
-    others form n^-Re(s) per row from each part of n (a 1-D power need
+    uniform lattice in Im s take the lattice route with the row n^-sigma
+    as its one Taylor row: a constant amplitude, order 0 in every block.
+    The others form n^-Re(s) per row from each part of n (a 1-D power need
     not round as the broadcast one does).  Calls over _angles.WORK_BUDGET
     are refused before they allocate.
     """
@@ -107,9 +108,14 @@ def _zeta_em_core(s, n_terms: int):
     _angles.check_work(s.size, n_terms)
     sigma = s.real
     uniform = s.size > 1 and np.all(sigma == sigma[0])
+
+    def lattice_rows(n):
+        row = n ** -sigma[0]
+        return lambda c, k_max: row[None, None]
+
     sums = _angles.dirichlet_sums(
         s.imag, n_terms, lambda r, n: n[None, :] ** (-sigma[r, None]),
-        (lambda n: n ** -sigma[0]) if uniform else None)
+        lattice_rows if uniform else None)
     return sums + _angles.em_tail(s, n_terms)
 
 
@@ -127,16 +133,23 @@ def zeta(s):
         raise ValueError("zeta requires Re s > 0")
     if np.any(np.abs(flat - 1.0) < 1e-10):
         raise ValueError("zeta: s too close to the pole at s = 1")
-    left = np.abs(flat.imag[flat.real < 2.0])
-    if np.any(left > _EM_CAP):
-        raise ValueError(f"zeta: |Im s| = {left.max():g} exceeds cap "
-                         f"{_EM_CAP:g} left of Re s = 2")
     if not flat.size:
         return flat.reshape(ss.shape)
-    n_terms = _angles.em_terms(float(flat.real.min()),
-                               float(np.abs(flat.imag).max()), _ZETA_TOL)
-    out = _zeta_em_core(flat, n_terms)
+    out = _zeta_em_core(flat, zeta_terms(flat.real, flat.imag))
     return complex(out[0]) if ss.ndim == 0 else out.reshape(ss.shape)
+
+
+def zeta_terms(re, im) -> int:
+    """The term count zeta takes for arguments with real parts re and
+    imaginary parts im (arrays or floats that broadcast), after refusing
+    (ValueError) |Im s| over _EM_CAP left of Re s = 2.  Not exported: the
+    package's callers size their work by it before they form s."""
+    im = np.abs(im)
+    left = np.max(np.where(np.less(re, 2.0), im, 0.0))
+    if left > _EM_CAP:
+        raise ValueError(f"zeta: |Im s| = {left:g} exceeds cap "
+                         f"{_EM_CAP:g} left of Re s = 2")
+    return _angles.em_terms(float(np.min(re)), float(np.max(im)), _ZETA_TOL)
 
 
 # ----------------------------------------------------------------------

@@ -69,6 +69,11 @@ def _direct(s, n_terms):
     return np.sum(amp * _angles.n_pow_minus_it(s.imag, _angles._log_ld(n)), axis=1)
 
 
+def _constant(row):
+    # a constant amplitude as lattice_sums takes it: one Taylor row
+    return lambda c, k_max: row[None, None]
+
+
 def _f_nodes(t):
     # f_integral's trapezoid nodes at the default step and window
     return t + 0.125 * np.arange(-951, 952)
@@ -89,13 +94,62 @@ def _long_lattice(x_end, step=0.25):
 def test_lattice_matches_direct(x, sigma):
     n_terms = _angles.pow2_bucket(int(2.0 * x.max()) + 1, 1024)
     n = np.arange(1, n_terms + 1)
-    on, sums = _angles.lattice_sums(x, n ** -sigma, _angles._log_ld(n))
+    on, sums = _angles.lattice_sums(x, _constant(n ** -sigma), _angles._log_ld(n))
     assert on.mean() > 0.9
     # 128 rows or so: the direct reference costs N phases a row
     rows = np.flatnonzero(on)[::max(1, np.count_nonzero(on) // 128)]
     ref = _direct(sigma + 1j * x[rows], n_terms)
     scale = float(np.sum(n ** -sigma))
     assert float(np.max(np.abs(sums[rows] - ref))) <= 4e-15 * scale
+
+
+def _one_row_off(x):
+    # a lattice x with row 77 moved off it, onto the direct route
+    x = x.copy()
+    x[77] += 0.01
+    return x
+
+
+@pytest.mark.parametrize("sigma, x, at, ref", [
+    # f_integral's rounded lattice: every row carries a residual e
+    (4.0, _f_nodes(2513.984856), (0, 40, 951, 1500, 1880), (
+        1.0084407235878958 - 0.05006314013492204j,
+        0.9986175154758042 + 0.07379640260864431j,
+        0.9564904304600519 - 0.04392388537484752j,
+        1.0404072469563201 + 0.04358744758603292j,
+        1.0446306971592105 - 0.04321075791610666j)),
+    # an exact lattice x = k/8 near 1e4, from and to a full block's edges
+    (4.0, np.arange(79800, 80201) / 8.0, (8, 200, 391), (
+        0.9372602380074254 - 0.0016050699616902838j,
+        1.0109073826078057 - 0.05889511919503152j,
+        1.0122419090413077 + 0.07174452046956441j)),
+    # a partial first block of 32 rows, one row off the lattice (77, on
+    # the direct route), and a partial last block of 40 rows
+    (4.0, _one_row_off(500.0 + 0.125 * np.arange(200)), (0, 31, 32, 77, 78, 199), (
+        1.0221506903991264 - 0.06165585790314881j,
+        0.9597099313559466 + 0.02141878716911648j,
+        0.9609504905907797 + 0.02407192697207071j,
+        1.0150494962976047 - 0.07040713852689293j,
+        1.0089852852547518 - 0.0712937537380193j,
+        1.0518558295202096 + 0.052034761705166424j)),
+    (1.5, _long_lattice(3000.0), (0, 5000, 11999), (
+        2.2127020227910474 - 0.7830573527527517j,
+        1.250844500194575 + 0.21054675047318241j,
+        1.2300449836566552 + 0.254215735652085j)),
+])
+def test_lattice_zeta_frozen_bits(sigma, x, at, ref):
+    # zeta's bits on the lattice route (every pinned row but the one off
+    # it): its order-0 blocks keep one fixed-shape product per anchor
+    z = zeta(sigma + 1j * x)
+    assert tuple(complex(z[i]) for i in at) == ref
+
+
+def test_f_integral_grid_frozen_bits():
+    f = quad.f_integral_grid(1000.0 + 0.05 * np.arange(200))
+    assert (complex(f[0]), complex(f[101]), complex(f[199])) == (
+        997797.8802417959 - 1590337.9833618351j,
+        1292183.487741057 + 1707088.9290658475j,
+        287241.40177104354 - 737008.1938399137j)
 
 
 @pytest.mark.parametrize("t", [100.0, 1000.0, 2650.0])
@@ -381,7 +435,7 @@ def test_lattice_skips_oversized_step_matrix():
     x = 1e5 + 0.125 * np.arange(128)
     tracemalloc.start()
     try:
-        on, _ = _angles.lattice_sums(x, amp, log_n)
+        on, _ = _angles.lattice_sums(x, _constant(amp), log_n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -156,6 +156,9 @@ def test_eval_approx_est_covers_phase_rounding(capsys, t, ref):
      "1024 terms = 1.02e+17", 1),
     # the Riemann-Siegel main sum: 3,989,422,804 terms
     (("eval", "--t", "1e20", "--method", "oracle"), "3989422804 terms = 3.99e+09", 1),
+    # a step of 1.8e-10 next to g's zero at s = 5, checked before the nodes
+    (("eval", "--t", "0", "--method", "integral", "--sigma", "4.999999999"),
+     "1510047021757 points x 128 terms = 1.93e+14", 1),
 ])
 def test_work_over_budget_is_refused_at_once(capsys, argv, estimate, peak_mb):
     tracemalloc.start()
@@ -361,6 +364,10 @@ def test_scan_usage_errors(capsys):
      "samples must be strictly increasing"),
     # the Z-to-H tolerance divided by t = 0 before the g route checked t
     (("eval", "--t", "0", "--method", "g"), "z_g requires t >= 20"),
+    # zeta's |Im s| cap left of Re s = 2 comes before f_integral's work
+    # check, which 679 nodes x 2^23 terms would fail
+    (("eval", "--t", "1e7", "--method", "integral", "--sigma", "1.5"),
+     "zeta: |Im s| = 1e+07 exceeds cap 100000 left of Re s = 2"),
 ])
 def test_library_value_error_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -204,6 +204,38 @@ def test_z_from_integral_at_zero():
     assert abs(z_from_integral(0.0)[0] - z_oracle(0.0)[0]) <= 1e-8
 
 
+@pytest.mark.parametrize("t, ref", [
+    # mpmath siegelz at 30 digits
+    (0.0, -1.4603545088095868),
+    (14.0, -0.10562626777988261),
+])
+def test_z_from_integral_near_sigma_five(t, ref):
+    # g's zero at s = 5 puts a branch point of f 0.01 below the line: the
+    # 1/8 step left 5.5e-4 at t = 0 and 5.1e-8 at t = 14
+    value, est = z_from_integral(t, 4.99)
+    assert abs(value - ref) <= est
+
+
+def test_f_integral_refuses_nodes_over_the_cap():
+    # the step capped next to sigma = 5 (1.8e-4 at 4.999) needs 1.5e6
+    # nodes, 335 MB of node arrays: within the work budget, so the node
+    # cap refuses it before the nodes are formed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="1509593 nodes"):
+            f_integral(0.0, 4.999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_f_integral_refuses_sigma_outside_the_strip():
+    for sigma in (0.5, 3.0, 5.0, 5.5):
+        with pytest.raises(ValueError, match="sigma must lie"):
+            f_integral(0.0, sigma)
+
+
 def test_step_halving_convergence(monkeypatch):
     a = z_from_integral(50.0)[0]
     monkeypatch.setattr(quad, "_STEP", 0.0625)

@@ -55,7 +55,8 @@ def commands() -> list:
     cmds += [_eval(t, "g", "--json") for t in ("30", "5e7")]
     cmds += [_eval(t, "integral")
              for t in ("0", "10", "50", "100", "1000", "2500", "1e5")]
-    cmds += [_eval(t, "integral", "--json") for t in ("40", "2500")]
+    # 1e5 takes N = 16384 terms, the largest kept step matrix
+    cmds += [_eval(t, "integral", "--json") for t in ("40", "2500", "1e5")]
     cmds += [_eval("100", "integral", "--eps", "1e-3")]
     off_four = (("1.5", ("0", "100", "300", "3000")), ("2.5", ("200", "1000")),
                 ("4.5", ("0", "300", "450")), ("1.0", ("0", "50")),
@@ -64,14 +65,18 @@ def commands() -> list:
              for sigma, ts in off_four for t in ts]
     cmds += [_eval(t, "integral", "--sigma", sigma, "--json") for sigma, t in
              (("2.5", "200"), ("1.5", "100"), ("1.2", "50"), ("1.0", "50"),
-              ("4.5", "300"))]
+              ("4.5", "300"), ("1.5", "3000"), ("4.99", "0"), ("4.99", "14"))]
+    # next to the branch point of g at s = 5: too many nodes, exit 3
+    cmds += [_eval("0", "integral", "--sigma", "4.999999999")]
+    # zeta's |Im s| cap left of Re s = 2, checked before the work: exit 2
+    cmds += [_eval("1e7", "integral", "--sigma", "1.5")]
     cmds += [("table",), ("table", "--json"), ("table", "--csv"),
              ("table", "--rows", "10,1e8")]
     scans = (("10", "30"), ("10", "30", "--json"), ("50", "60", "--json"),
              ("274", "284", "--step", "0.025"), ("400", "430"), ("14.2", "20.9"),
              ("10.001", "20.001"), ("1590", "1600"),
              # the near-zero of F at t ~ 111.87 forces refinement rounds
-             ("108", "114", "--json"))
+             ("108", "114", "--json"), ("20000", "20005", "--json"))
     cmds += [("scan", "--from", a, "--to", b, *rest) for a, b, *rest in scans]
     cmds += [("hstat", "--t", "1000"), ("hstat", "--t", "150", "--json"),
              ("hstat", "--t", "2745.3"), ("hstat", "--t", "4321", "--json"),
