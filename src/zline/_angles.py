@@ -30,11 +30,12 @@ gives, binned by exponent in numpy) that the H_r series and the
 trapezoid rule of quad share.  Two tables are kept between calls,
 read-only, each in a slot of one value that a call reads once and that
 is replaced whole, so calls from several threads never see each other's:
-the last step matrix of at most RETAIN_TERMS (16384) terms (16 MB), and
-one table of n with log n (terms) of at most 2^20 terms (24 MB),
-replaced by a larger one when a call needs more terms.  A longer sum
-reads n and log n in parts (term_parts), each built alone, so no table
-of more than 2^20 terms is formed.
+the last step matrix of at most RETAIN_TERMS (16384) terms (16 MB), whose
+last N rows serve every smaller term count N at its step, and one table
+of n with log n (terms) of at most 2^20 terms (24 MB), replaced by a
+larger one when a call needs more terms.  A longer sum reads n and log n
+in parts (term_parts), each built alone, so no table of more than 2^20
+terms is formed.
 """
 from __future__ import annotations
 
@@ -370,7 +371,9 @@ def term_parts(n_terms: int, width: int):
             yield kept[0][start:stop], kept[1][start:stop]
 
 
-# the last step matrix _step_matrix kept, ((h, N), matrix), or None
+# the last step matrix _step_matrix built of at most RETAIN_TERMS terms,
+# ((h, N), matrix), or None; a call at step h with at most N terms reads
+# its last rows
 _STEPS = None
 
 
@@ -381,17 +384,19 @@ def _step_matrix(h: float, log_d) -> np.ndarray:
     It is built in row blocks under ROW_ELEMS: allocated after the first
     block's phases, each block's freed before the next, it takes no more
     page faults than a one-piece build.  The last matrix of at most
-    RETAIN_TERMS terms is kept with its (h, N) and returned again; the slot
-    is emptied before any other is built, so two are never kept, and a
-    larger one is built per call and kept by nobody.
+    RETAIN_TERMS terms is kept with its (h, N); a call at the same h with
+    at most N terms returns its last rows, n = N..1 of the smaller count,
+    as a view (each element is formed alone, so these are the bits a build
+    gives).  Another h or a larger N empties the slot before the build of
+    exactly its N terms, so two are never kept, and a matrix above
+    RETAIN_TERMS terms is built per call and kept by nobody.
     """
     global _STEPS
     n_terms = log_d.size
-    key = (h, n_terms)
     kept = _STEPS
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    _STEPS = None
+    if kept is not None and kept[0][0] == h and n_terms <= kept[0][1]:
+        return kept[1][kept[0][1] - n_terms:]
+    kept = _STEPS = None  # the old matrix goes before the new one is built
     chunk = max(1, ROW_ELEMS // n_terms)
     steps = None
     for j0 in range(0, _LATTICE_BLOCK, chunk):
@@ -404,7 +409,7 @@ def _step_matrix(h: float, log_d) -> np.ndarray:
     steps.flags.writeable = False
     steps = steps.T
     if n_terms <= RETAIN_TERMS:
-        _STEPS = (key, steps)
+        _STEPS = ((h, n_terms), steps)
     return steps
 
 

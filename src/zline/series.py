@@ -88,6 +88,9 @@ def _m_r(y, r: int):
     ay = np.abs(y)
     with np.errstate(under="ignore"):
         u = np.exp(-2.0 * ay)
+        if r == 0:
+            # B_0 = 1 and (1 + u)^1 change no bit: skip both
+            return 2.0 * np.exp(-ay) / (1.0 + u)
         val = 2.0 * np.exp(-ay) * eulerian_b(r).value(-u) / (1.0 + u) ** (r + 1)
     if r % 2:
         val = np.where(y < 0.0, -val, val)

@@ -229,6 +229,7 @@ def test_step_matrix_row_blocks_bit_identical(monkeypatch):
     # matrix is kept, so the second starts from an empty slot to build
     # its own
     s = 4.0 + 1j * (3000.0 + 0.125 * np.arange(256))
+    monkeypatch.setattr(_angles, "_STEPS", None)
     whole = _zeta_em_core(s, 4096)
     key, kept = _angles._STEPS
     assert key == (0.125, 4096)
@@ -240,13 +241,88 @@ def test_step_matrix_row_blocks_bit_identical(monkeypatch):
     assert rebuilt is not kept and np.array_equal(rebuilt, kept)
 
 
-def test_step_matrix_keeps_the_last():
-    log_d = _angles._log_ld(np.arange(1024, 0, -1))
-    first = _angles._step_matrix(0.125, log_d)
-    assert _angles._step_matrix(0.125, log_d) is first
-    other = _angles._step_matrix(0.25, log_d)
-    key, kept = _angles._STEPS
-    assert key == (0.25, 1024) and kept is other
+def _steps(h, n_terms):
+    return _angles._step_matrix(h, _angles._log_ld(np.arange(n_terms, 0, -1)))
+
+
+def test_step_matrix_keeps_the_last(monkeypatch):
+    # the last matrix of at most RETAIN_TERMS terms is kept with its (h, N):
+    # the same h and N or fewer terms read its last rows without a build,
+    # bit for bit the matrix built alone; a larger N or another h replaces
+    # it, built with the slot empty, and a matrix above RETAIN_TERMS is
+    # never kept
+    alone = {}
+    for n_terms in (1, 64, 1000, 1024):
+        monkeypatch.setattr(_angles, "_STEPS", None)
+        alone[n_terms] = _steps(0.125, n_terms)
+    monkeypatch.setattr(_angles, "_STEPS", None)
+    slots_at_build = []
+    cis = _angles.cis
+
+    def spy(p, out=None):
+        slots_at_build.append(_angles._STEPS)
+        return cis(p, out)
+
+    monkeypatch.setattr(_angles, "cis", spy)
+    kept = _steps(0.125, 1024)
+    slot = _angles._STEPS
+    assert slot[0] == (0.125, 1024) and slot[1] is kept
+    for n_terms, ref in alone.items():
+        rows = _steps(0.125, n_terms)
+        assert _angles._STEPS is slot
+        assert rows.shape == (n_terms, 64) and np.shares_memory(rows, kept)
+        assert not rows.flags.writeable
+        assert rows.tobytes() == ref.tobytes()
+    assert len(slots_at_build) == 1
+    larger = _steps(0.125, 2048)
+    assert _angles._STEPS[0] == (0.125, 2048) and _angles._STEPS[1] is larger
+    other = _steps(0.25, 64)
+    assert _angles._STEPS[0] == (0.25, 64) and _angles._STEPS[1] is other
+    assert not np.shares_memory(larger, kept) and not np.shares_memory(other, larger)
+    monkeypatch.setattr(_angles, "RETAIN_TERMS", 512)
+    _steps(0.25, 1024)
+    assert _angles._STEPS is None
+    _steps(0.25, 64)
+    assert _angles._STEPS[0] == (0.25, 64)
+    # one build a call since the first, each with the slot empty
+    assert len(slots_at_build) == 5 and all(s is None for s in slots_at_build)
+
+
+def _keep_steps(x, n_terms):
+    # keep the step matrix of n_terms terms at the step lattice_sums reads
+    # off x
+    _steps(float(np.median(np.diff(x))), n_terms)
+    return _angles._STEPS
+
+
+def test_lattice_bits_from_kept_rows(monkeypatch):
+    # the kept matrix of RETAIN_TERMS terms serves every smaller N at its
+    # step: zeta (order-0 products per anchor) and the H amplitude (stacked
+    # Taylor products) take the bits an empty slot gives
+    zetas = [(sigma + 1j * x, n_terms)
+             for x in (_f_nodes(1000.0), 300.0 + 0.05 * np.arange(400))
+             for sigma in (1.5, 4.0) for n_terms in (64, 1024, 4096)]
+    n = np.arange(1, 301, dtype=float)
+    rows, shift = _h_terms(n)
+    h_x = 150.0 + 0.025 * np.arange(1024)
+
+    def h_sums():
+        return _angles.lattice_sums(h_x, rows, _angles._log_ld(n), shift)[1]
+
+    ref = []
+    for s, n_terms in zetas:
+        monkeypatch.setattr(_angles, "_STEPS", None)
+        ref.append(_zeta_em_core(s, n_terms))
+    monkeypatch.setattr(_angles, "_STEPS", None)
+    h_ref = h_sums()
+    for k, (s, n_terms) in enumerate(zetas):
+        if k % 6 == 0:
+            slot = _keep_steps(s.imag, _angles.RETAIN_TERMS)
+        assert _zeta_em_core(s, n_terms).tobytes() == ref[k].tobytes(), k
+        assert _angles._STEPS is slot
+    slot = _keep_steps(h_x, _angles.RETAIN_TERMS)
+    assert h_sums().tobytes() == h_ref.tobytes()
+    assert _angles._STEPS is slot
 
 
 def test_kept_tables_are_read_only():

@@ -98,6 +98,20 @@ def test_moment_overflow_safe():
     assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 
+def test_m_0_is_the_general_form_to_the_bit():
+    # m_0 skips B_0(-u), exactly 1, and the power (1 + u)^1: the bits of
+    # the general form at every y, where u = e^(-2|y|) underflows (|y|
+    # above ~372) and where e^(-|y|) does too (above ~745)
+    y = np.concatenate((np.linspace(-900.0, 900.0, 360001),
+                        [0.0, -0.0, 5e-324, -1e-300, 372.5, 745.2, -745.2]))
+    ay = np.abs(y)
+    with np.errstate(under="ignore"):
+        u = np.exp(-2.0 * ay)
+        ref = 2.0 * np.exp(-ay) * eulerian_b(0).value(-u) / (1.0 + u) ** 1
+    assert (u == 0.0).any() and (ref == 0.0).any()
+    assert series._m_r(y, 0).tobytes() == ref.tobytes()
+
+
 def _sech_deriv(n: int, y: float) -> float:
     """(d/dy)^n sech(y) from the closed form, via the moment factor."""
     m = fourier_cosh_moment(n, y / 3.5) / (3.5j) ** n

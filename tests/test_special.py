@@ -247,13 +247,20 @@ def test_z_oracle_main_sum_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("t, ref", [
+    # the Riemann-Siegel side, from before the main sum moved into _angles
     (600.0, (2.6715801421320204, 6.856391271198068e-07)),
     (1e8, (3.645407868486116, 1.0709706182347008e-08)),
     (1e12, (4.3088350807648315, 1.522046862241895e-05)),
+    # the Euler-Maclaurin side, t <= 500: values from before the kept step
+    # matrix served smaller term counts
+    (0.0, (-1.460354508809587, 4.3956670715168575e-12)),
+    (14.134725141734695, (-1.4670417686465095e-15, 3.0000000000037677e-12)),
+    (100.0, (2.6926970566642088, 8.181605069740381e-12)),
+    (280.0, (-4.130023733924393, 1.239099371704712e-11)),
+    (499.9, (1.9575853313934324, 5.872780099683014e-12)),
 ])
 def test_z_oracle_frozen_bits(t, ref):
-    # value and est from before the main sum moved into _angles, to the
-    # last bit
+    # value and est to the last bit
     assert z_oracle(t) == ref
 
 

@@ -4,16 +4,18 @@
 
 Runs a fixed set of zline commands from the checkout at DIR (by default
 the one holding this script), one process per command, and prints for
-each its exit code, the sha256 of its stdout and its argv, and after an
-xray command the sha256 of the CSV it wrote ("none" if it wrote none).
-With --full each command's stdout follows its line, indented, so that a
-moved JSON value shows in the comparison.  With --in-process every
-command runs through zline.cli.main in this one interpreter instead, its
-stdout captured and a SystemExit code taken as its exit code (an uncaught
-exception as 1, as a process would exit); a diff against the per-process
-output then shows any state one call leaves to the next.  Run it on both
-checkouts and compare the two outputs with diff.  The whole set takes a
-few minutes on two cores; it is not part of the test suite.
+each its exit code, the sha256 of its stdout, the sha256 of its stderr
+(where a refusal's message goes) and its argv, and after an xray command
+the sha256 of the CSV it wrote ("none" if it wrote none).  With --full
+each command's stdout follows its line, indented, so that a moved JSON
+value shows in the comparison.  With --in-process every command runs
+through zline.cli.main in this one interpreter instead, its stdout and
+stderr captured and a SystemExit code taken as its exit code (an
+uncaught exception as 1, as a process would exit); a diff against the
+per-process output then shows any state one call leaves to the next.
+Run it on both checkouts and compare the two outputs with diff.  The
+whole set takes a few minutes on two cores; it is not part of the test
+suite.
 """
 from __future__ import annotations
 
@@ -109,36 +111,37 @@ _THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
 
 
 def _per_process(root: Path):
-    """A runner of one command in a fresh interpreter: argv -> (code, stdout)."""
+    """A runner of one command in a fresh interpreter:
+    argv -> (code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), **_THREADS)
     launch = [sys.executable, "-c",
               "import sys; from zline.cli import main; sys.exit(main())"]
 
     def run(argv):
         proc = subprocess.run(launch + argv, env=env, capture_output=True)
-        return proc.returncode, proc.stdout
+        return proc.returncode, proc.stdout, proc.stderr
 
     return run
 
 
 def _in_process(root: Path):
     """A runner of every command through this interpreter's zline.cli.main,
-    stdout captured and stderr dropped: argv -> (code, stdout)."""
+    stdout and stderr captured: argv -> (code, stdout, stderr)."""
     os.environ.update(_THREADS)  # before numpy loads
     sys.path.insert(0, str(root / "src"))
     from zline.cli import main as zline_main
 
     def run(argv):
-        out = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = zline_main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception:
-            traceback.print_exc()  # as a process would, which then exits 1
+            traceback.print_exc(file=err)  # as a process would, which then exits 1
             code = 1
-        return code, out.getvalue().encode()
+        return code, out.getvalue().encode(), err.getvalue().encode()
 
     return run
 
@@ -158,10 +161,11 @@ def main(argv=None) -> int:
         for k, cmd in enumerate(commands()):
             csv = Path(tmp) / f"xray_{k}.csv"
             argv_k = list(cmd) + (["--out", str(csv)] if cmd[0] == "xray" else [])
-            code, out = run(argv_k)
-            # the CSV path is the one part of stdout that names the run's directory
-            out = out.replace(str(csv).encode(), b"OUT")
-            print(code, _digest(out), " ".join(cmd), flush=True)
+            code, out, err = run(argv_k)
+            # the CSV path is the one part of the output that names the run's
+            # directory
+            out, err = (s.replace(str(csv).encode(), b"OUT") for s in (out, err))
+            print(code, _digest(out), _digest(err), " ".join(cmd), flush=True)
             if args.full:
                 for line in out.decode().splitlines():
                     print("   ", line)
