@@ -4,7 +4,8 @@ integral and its companion Dirichlet-type series.
 The package provides three independent routes to Z(t) (classical oracle,
 exact integral representation, series approximation), the staged
 approximations connecting them, and zero-scanning / phase-statistics tools
-built on top.
+built on top.  It exports __version__ and exactly the names its modules
+list in their own __all__, in the order of the imports below.
 """
 from __future__ import annotations
 
@@ -17,57 +18,7 @@ from .quad import *
 from .series import *
 from .scan import *
 from .cli import *
+from . import cli, errors, phase, quad, scan, series, special
 
-__all__ = [
-    "__version__",
-    "ConvergenceError",
-    "PhaseTrackError",
-    "ln_gamma",
-    "oracle_terms",
-    "rs_theta",
-    "upper_incomplete_gamma",
-    "z_oracle",
-    "zeta",
-    "ALPHA_SERIES",
-    "L1_TERMS",
-    "LOG_RHO_SERIES",
-    "AsymptoticSeries",
-    "PhasePolar",
-    "alpha_asymptotic",
-    "h_exact",
-    "h_polar",
-    "l1",
-    "log_rho_asymptotic",
-    "rho0",
-    "theta",
-    "theta_mod_2pi",
-    "z_denominator",
-    "StripProblem",
-    "f_integral",
-    "f_integral_grid",
-    "f_on_line",
-    "f_staged",
-    "kernel",
-    "omega_kernel",
-    "strip_solve",
-    "z_from_integral",
-    "EulerianB",
-    "eulerian_b",
-    "fourier_cosh_moment",
-    "g_series",
-    "h_r_series_info",
-    "h_series_grid",
-    "z_approx",
-    "z_g",
-    "PhaseTrack",
-    "XrayGrid",
-    "ZeroScanReport",
-    "c_statistic_profile",
-    "continuous_arg",
-    "count_zeros",
-    "perturbation_phase_check",
-    "phase_count_check",
-    "xray_grid",
-    "OutputRecord",
-    "main",
-]
+__all__ = ["__version__", *errors.__all__, *special.__all__, *phase.__all__,
+           *quad.__all__, *series.__all__, *scan.__all__, *cli.__all__]

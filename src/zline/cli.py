@@ -8,13 +8,15 @@ Subcommands:
   xray   sign grid of the series evaluator over a complex rectangle
 
 Each subcommand checks its flags, calls the library and prints what it
-returns.  The eval methods are z_oracle, z_from_integral, z_approx and
-z_g, each returning (value, est) in Z units; table prints those of
-z_oracle and z_approx.  All output is deterministic: fixed 7-decimal
-formatting in text modes, shortest-round-trip floats in JSON, LF line
-endings.  Exit codes: 0 success, 2 usage error (a bad flag, or a
-ValueError from the library), 3 numerical failure (ConvergenceError or
-PhaseTrackError), mapped once in main.
+returns.  The eval methods come from one table, _ROUTES, that maps each
+method name to a route (t, sigma, eps) -> (value, est) in Z units:
+z_oracle, z_from_integral, z_approx and z_g, each looked up by name when
+it is called.  table prints the (value, est) of z_oracle and z_approx.
+All output is deterministic: fixed 7-decimal formatting in text modes,
+shortest-round-trip floats in JSON, LF line endings.  Exit codes:
+0 success, 2 usage error (a bad flag, or a ValueError from the library),
+3 numerical failure (ConvergenceError or PhaseTrackError), mapped once in
+main.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import __version__, _angles
@@ -33,9 +34,17 @@ from .scan import c_statistic_profile, phase_count_check, xray_grid
 from .series import z_approx, z_g
 from .special import z_oracle
 
-__all__ = ["OutputRecord", "main"]
+__all__ = ["main"]
 
-_METHODS = ("oracle", "integral", "approx", "g")
+# eval's routes by method name.  Each entry finds its function by name at
+# call time, so a rebinding of the module attribute (a tracer's wrapper, a
+# test's stub) is what runs.
+_ROUTES = {
+    "oracle": lambda t, sigma, eps: z_oracle(t),
+    "integral": lambda t, sigma, eps: z_from_integral(t, sigma, eps),
+    "approx": lambda t, sigma, eps: z_approx(t, eps),
+    "g": lambda t, sigma, eps: z_g(t, eps),
+}
 _TABLE_TS = tuple(float(10 ** k) for k in range(1, 9))
 # internal series target for the table, in Z units; far below the 1e-5
 # reporting gate and the 5e-6 print precision
@@ -44,35 +53,6 @@ _TABLE_EPS_Z = 1e-7
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One evaluated quantity with its provenance and error estimate."""
-
-    argument: float
-    method: str
-    value: float
-    est: float
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
-        for name in ("argument", "value", "est"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise ValueError(f"non-finite field {name!r}")
-
-
-def _eval_record(t: float, method: str, sigma: float, eps: float) -> OutputRecord:
-    if method == "oracle":
-        value, est = z_oracle(t)
-    elif method == "integral":
-        value, est = z_from_integral(t, sigma, eps)
-    elif method == "approx":
-        value, est = z_approx(t, eps)
-    else:
-        value, est = z_g(t, eps)
-    return OutputRecord(t, method, float(value), float(est))
 
 
 def _print_json(command: str, flags: dict, payload: dict) -> None:
@@ -101,17 +81,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _usage_error("--sigma must lie in (0.5, 5) excluding 3")
     if not 0.0 < eps <= _angles.EPS_MAX:
         return _usage_error(f"--eps must lie in (0, {_angles.EPS_MAX:g}]")
-    record = _eval_record(t, args.method, sigma, eps)
+    value, est = map(float, _ROUTES[args.method](t, sigma, eps))
+    for name, field in (("value", value), ("est", est)):
+        if not math.isfinite(field):
+            raise ValueError(f"non-finite field {name!r}")
     if args.json:
         flags = {"t": t, "method": args.method, "sigma": sigma, "eps": eps}
         _print_json("eval", flags, {"rows": [
-            {"t": t, "method": record.method,
-             "value": record.value, "est": record.est}]})
+            {"t": t, "method": args.method, "value": value, "est": est}]})
     else:
         sys.stdout.write(f"t,{t:.7f}\n")
-        sys.stdout.write(f"method,{record.method}\n")
-        sys.stdout.write(f"value,{record.value:.7f}\n")
-        sys.stdout.write(f"est,{record.est:.1e}\n")
+        sys.stdout.write(f"method,{args.method}\n")
+        sys.stdout.write(f"value,{value:.7f}\n")
+        sys.stdout.write(f"est,{est:.1e}\n")
     return EXIT_OK
 
 
@@ -251,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate Z(t) by one method")
     p_eval.add_argument("--t", type=_finite, required=True)
-    p_eval.add_argument("--method", choices=_METHODS, required=True)
+    p_eval.add_argument("--method", choices=_ROUTES, required=True)
     p_eval.add_argument("--sigma", type=_finite, default=4.0)
     p_eval.add_argument("--eps", type=_finite, default=_angles.EPS_DEFAULT,
                         help="target error in Z units, in (0, 1e-3]")

@@ -201,12 +201,13 @@ def _psi_direct(p):
 
 @functools.lru_cache(maxsize=1)
 def _psi_chebyshev():
-    """Chebyshev model of the (entire) Psi on [-0.15, 1.15] plus derivatives:
-    the degree 100 interpolant of _psi_direct, all 101 coefficients kept,
-    and its term-by-term derivatives of order 1..6 (degree 100 - k).
+    """Chebyshev model of the (entire) Psi on [-0.15, 1.15] and the
+    derivatives the corrections read, keyed by order: the degree 100
+    interpolant of _psi_direct (order 0, all 101 coefficients kept) and
+    its term-by-term derivatives of order 2, 3 and 6 (degree 100 - k).
     """
     fit = Chebyshev.interpolate(_psi_direct, 100, domain=[-0.15, 1.15])
-    return tuple(fit.deriv(k) if k else fit for k in range(7))
+    return {k: fit.deriv(k) if k else fit for k in (0, 2, 3, 6)}
 
 
 @functools.lru_cache(maxsize=1)

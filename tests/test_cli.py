@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from zline import cli, scan, z_approx, z_from_integral, z_g, z_oracle
-from zline.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, OutputRecord
+from zline.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE
 
 
 def run(capsys, *argv):
@@ -580,6 +580,32 @@ def test_eval_oracle_frozen_json(capsys, t, value, est):
         EXIT_OK, _oracle_json(float(t), value, est), "")
 
 
+# sha256 of stdout.  The JSON floats carry every bit of value and est, so a
+# change that moves the library and the CLI together shows here too.
+@pytest.mark.parametrize("argv, digest", [
+    (("table", "--csv"),
+     "3d4793331ae798ceec2c4c2af221e6c42e6c19d389a6c9ff1604f1ee6e428a3b"),
+    (("table", "--json"),
+     "e6b75f92328029abd3020f6200b852bbdea63f16b2314e180ea20c7d940ab2d3"),
+    (("scan", "--from", "10", "--to", "30", "--json"),
+     "2b40484d3317a4753237b244794428d24ad29de342f1817cb5cab9dd0fcf4c99"),
+    (("eval", "--t", "40", "--method", "integral", "--json"),
+     "882908a2b49cc504523bb1af863290923488be38fe05c57d60ecd19f5831ae4d"),
+    (("eval", "--t", "300", "--method", "integral", "--sigma", "1.5", "--json"),
+     "c3d99773c539d38e44dc106f4bb23b561cd25d2dc63b8c72e716187f09b9f65c"),
+    (("eval", "--t", "1e4", "--method", "approx", "--json"),
+     "b5a0b992a3fcf68c9b920ebbebf6895ca9fc273678d173761957b82418a26919"),
+    (("eval", "--t", "30", "--method", "g", "--json"),
+     "154050a715b30915ea2d50b2c23012101c68cd5baab155ecba55547c1321fb73"),
+    (("eval", "--t", "1e5", "--method", "g", "--json"),
+     "5cd53f09c040c918973c73a79009c95846591bb27b344e3f235f109fd85c9ccc"),
+])
+def test_frozen_stdout_digest(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_xray_frozen_csv(tmp_path, capsys):
     path = tmp_path / "grid.csv"
     code, out, _ = run(capsys, "xray", "--re0", "20000", "--re1", "20010",
@@ -588,10 +614,42 @@ def test_xray_frozen_csv(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _FROZEN_XRAY_SHA256
 
 
-# ----------------------------------------------------------- output record
+# ------------------------------------------------------------ route table
 
-def test_output_record_validation():
-    with pytest.raises(ValueError):
-        OutputRecord(argument=1.0, method="bogus", value=0.0, est=1e-9)
-    with pytest.raises(ValueError):
-        OutputRecord(argument=1.0, method="oracle", value=math.inf, est=1e-9)
+# each method's function in zline.cli and the arguments it takes from
+# eval --t 50 --sigma 2.5 --eps 1e-6
+_ROUTE_CALLS = {"oracle": ("z_oracle", (50.0,)),
+                "integral": ("z_from_integral", (50.0, 2.5, 1e-6)),
+                "approx": ("z_approx", (50.0, 1e-6)),
+                "g": ("z_g", (50.0, 1e-6))}
+
+
+@pytest.mark.parametrize("method", sorted(_ROUTE_CALLS))
+def test_eval_looks_its_route_up_by_name(capsys, monkeypatch, method):
+    # a rebinding of the module attribute is what eval runs, as the
+    # benchmark's tracer needs; a table of function objects would miss it
+    name, expected = _ROUTE_CALLS[method]
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return 1.0, 1e-9
+
+    monkeypatch.setattr(cli, name, recorder)
+    code, out, _ = run(capsys, "eval", "--t", "50", "--method", method,
+                       "--sigma", "2.5", "--eps", "1e-6", "--json")
+    assert code == EXIT_OK
+    assert calls == [expected]
+    assert json.loads(out)["rows"] == [
+        {"t": 50.0, "method": method, "value": 1.0, "est": 1e-9}]
+
+
+@pytest.mark.parametrize("result, field", [
+    ((math.nan, 1e-9), "value"),
+    ((0.5, math.inf), "est"),
+])
+def test_non_finite_route_result_is_usage_error(capsys, monkeypatch, result, field):
+    monkeypatch.setattr(cli, "z_oracle", lambda t: result)
+    code, out, err = run(capsys, "eval", "--t", "10", "--method", "oracle")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: non-finite field {field!r}\n"

@@ -1,11 +1,14 @@
-"""Package layout, read from the source with ast (nothing is imported):
-no zline module reaches into another one's private names, the package's
-__all__ is exactly the union of its modules' __all__, and the functions
-the benchmark's per-layer tracer wraps by name exist."""
+"""Package layout.  Read from the source with ast: no zline module reaches
+into another one's private names, and the functions the benchmark's
+per-layer tracer wraps by name exist.  Read from the source and the
+imported package: zline exports __version__ and exactly the union of its
+modules' literal __all__, each name bound to its module's own object."""
 import ast
 from pathlib import Path
 
 import pytest
+
+import zline
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = _ROOT / "src" / "zline"
@@ -85,18 +88,16 @@ def test_the_rule_sees_private_reads():
 
 
 def test_package_all_matches_module_all():
-    package = _all_of(_SRC / "__init__.py")
+    modules = {path.stem: names for path in _FILES
+               if path.stem != "__init__" and (names := _all_of(path))}
+    package = zline.__all__
     assert len(package) == len(set(package))
-    modules = {}
-    for path in _FILES:
-        names = _all_of(path) if path.stem != "__init__" else None
-        if names:
-            modules[path.stem] = names
-    exported = {name for names in modules.values() for name in names}
-    missing = {f"{mod}.{name}" for mod, names in modules.items()
-               for name in names if name not in package}
-    assert missing == set()
-    assert set(package) - {"__version__"} - exported == set()
+    assert set(package) - {"__version__"} == {
+        name for names in modules.values() for name in names}
+    for stem, names in modules.items():
+        module = getattr(zline, stem)
+        for name in names:
+            assert getattr(zline, name) is getattr(module, name), f"{stem}.{name}"
 
 
 def _hooks():

@@ -91,6 +91,9 @@ def commands() -> list:
              _eval("10", "bogus"),
              ("hstat", "--t", "nan"), ("hstat", "--t", "inf"),
              _eval("inf", "oracle"), _eval("nan", "oracle"), _eval("nan", "approx"),
+             # flags the route never reads, refused by the CLI alone: exit 2
+             _eval("10", "oracle", "--sigma", "7"), _eval("10", "oracle", "--eps", "1"),
+             _eval("100", "approx", "--sigma", "3"), _eval("-1", "g"),
              ("xray", "--re0", "1", "--re1", "inf", "--im0", "-1", "--im1", "1"),
              # over the term cap of H: exit 3 before any tolerance is scaled
              _eval("1e88", "approx"), _eval("1e88", "g"), _eval("1e177", "g"),
