@@ -5,7 +5,7 @@ Subcommands:
   table  the reference-value table (t = 10 .. 1e8 in decades)
   scan   zero scan plus the phase-count cross-check on an interval
   hstat  the normalized phase-decay statistic of the series evaluator
-  xray   sign grid of the series evaluator over a complex rectangle
+  xray   signs of Re H and Im H over a complex rectangle, as a CSV file
 
 Each subcommand checks its flags, calls the library and prints what it
 returns.  The eval methods come from one table, _ROUTES, that maps each
@@ -16,7 +16,7 @@ All output is deterministic: fixed 7-decimal formatting in text modes,
 shortest-round-trip floats in JSON, LF line endings.  Exit codes:
 0 success, 2 usage error (a bad flag, or a ValueError from the library),
 3 numerical failure (ConvergenceError or PhaseTrackError), mapped once in
-main.
+main; an xray --out that cannot be written is cmd_xray's usage error.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import json
 import math
 import sys
 from functools import lru_cache
+
+import numpy as np
 
 from . import __version__, _angles
 from .errors import ConvergenceError, PhaseTrackError
@@ -200,11 +202,19 @@ def cmd_xray(args: argparse.Namespace) -> int:
     re0, re1 = float(args.re0), float(args.re1)
     im0, im1 = float(args.im0), float(args.im1)
     n = int(args.n)
-    grid = xray_grid(re0, re1, im0, im1, n, n)
-    with open(args.out, "w", newline="\n") as handle:
-        handle.write("re,im,sgn_re_H,sgn_im_H\n")
-        for re, im, sre, sim in grid.rows():
-            handle.write(f"{re:.7f},{im:.7f},{sre:d},{sim:d}\n")
+    res, ims, h = xray_grid(re0, re1, im0, im1, n, n)
+    sgn_re = np.sign(h.real).astype(np.int8).tolist()
+    sgn_im = np.sign(h.imag).astype(np.int8).tolist()
+    ims = ims.tolist()
+    try:
+        with open(args.out, "w", newline="\n") as handle:
+            handle.write("re,im,sgn_re_H,sgn_im_H\n")
+            # re-major, im-minor
+            for re, row_re, row_im in zip(res.tolist(), sgn_re, sgn_im):
+                for im, sre, sim in zip(ims, row_re, row_im):
+                    handle.write(f"{re:.7f},{im:.7f},{sre:d},{sim:d}\n")
+    except OSError as exc:
+        return _usage_error(f"cannot write --out: {exc}")
     sys.stdout.write(f"out,{args.out}\n")
     sys.stdout.write(f"rows,{n * n}\n")
     return EXIT_OK

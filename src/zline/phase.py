@@ -21,7 +21,6 @@ from .special import ln_gamma
 
 __all__ = [
     "PhasePolar",
-    "AsymptoticSeries",
     "LOG_RHO_SERIES",
     "ALPHA_SERIES",
     "L1_TERMS",
@@ -51,44 +50,14 @@ class PhasePolar:
             raise ValueError("rho must be positive")
 
 
-@dataclass(frozen=True)
-class AsymptoticSeries:
-    """Constant + log-term + finite inverse-power tail of an expansion.
+#: log rho(x) = -7/4 log 2pi + 15/4 log x + 19/x^2 - 433/(2x^4) + ...: its
+#: inverse-power terms as (power, coefficient) pairs, ascending power
+LOG_RHO_SERIES = ((2, 19.0), (4, -433.0 / 2.0), (6, 13069.0 / 3.0),
+                  (8, -439633.0 / 4.0))
 
-    value(x, order) = constant + log_coef*log(x) + linear_coef*x*(log(x) - log 2pi - 1)/...
-    is left to the callers; this container only fixes the printed
-    coefficients so tests can assert them exactly.
-    """
-    constant: float
-    log_coef: float
-    powers: tuple[int, ...]          # inverse powers x^-p, ascending p
-    coefs: tuple[float, ...]         # matching coefficients
-
-    def tail(self, x, order: int):
-        """Sum of the first `order` inverse-power terms at x."""
-        if not 0 <= order <= len(self.coefs):
-            raise ValueError(f"order must be in 0..{len(self.coefs)}")
-        total = np.zeros_like(np.asarray(x, dtype=float))
-        for p, c in zip(self.powers[:order], self.coefs[:order]):
-            total = total + c * np.asarray(x, dtype=float) ** -p
-        return total
-
-
-#: log rho(x) = -7/4 log 2pi + 15/4 log x + 19/x^2 - 433/(2x^4) + ...
-LOG_RHO_SERIES = AsymptoticSeries(
-    constant=-1.75 * _angles.LOG_2PI,
-    log_coef=3.75,
-    powers=(2, 4, 6, 8),
-    coefs=(19.0, -433.0 / 2.0, 13069.0 / 3.0, -439633.0 / 4.0),
-)
-
-#: alpha(x) = x/2 log(x/2pi) - x/2 + 15pi/8 - 241/(24x) + ...
-ALPHA_SERIES = AsymptoticSeries(
-    constant=15.0 * math.pi / 8.0,
-    log_coef=0.0,
-    powers=(1, 3, 5),
-    coefs=(-241.0 / 24.0, 41279.0 / 720.0, -2348641.0 / 2520.0),
-)
+#: alpha(x) = x/2 log(x/2pi) - x/2 + 15pi/8 - 241/(24x) + ...: its
+#: inverse-power terms as (power, coefficient) pairs, ascending power
+ALPHA_SERIES = ((1, -241.0 / 24.0), (3, 41279.0 / 720.0), (5, -2348641.0 / 2520.0))
 
 #: L1(x, t) - 1 as terms c x^r / (d t^k), times i where imaginary, listed
 #: as (r, c, d, k, imaginary) in the order the series bracket G sums them
@@ -141,6 +110,17 @@ def h_polar(x: float) -> PhasePolar:
                       alpha=0.5 * val.imag)
 
 
+def _tail(series, x, order: int):
+    """Sum of the first `order` (power, coefficient) terms of series at x,
+    from zeros in ascending power; order outside 0..len is a ValueError."""
+    if not 0 <= order <= len(series):
+        raise ValueError(f"order must be in 0..{len(series)}")
+    total = np.zeros_like(x)
+    for p, c in series[:order]:
+        total = total + c * x ** -p
+    return total
+
+
 def log_rho_asymptotic(x, order: int = 4):
     """Asymptotic log|h(x)| for x >= 10; `order` inverse-power terms (<= 4).
 
@@ -150,8 +130,7 @@ def log_rho_asymptotic(x, order: int = 4):
     x = np.asarray(x, dtype=float)
     if np.any(x < 10.0):
         raise ValueError("log_rho_asymptotic requires x >= 10")
-    s = LOG_RHO_SERIES
-    out = s.constant + s.log_coef * np.log(x) + s.tail(x, order)
+    out = -1.75 * _angles.LOG_2PI + 3.75 * np.log(x) + _tail(LOG_RHO_SERIES, x, order)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -160,9 +139,8 @@ def alpha_asymptotic(x, order: int = 3):
     x = np.asarray(x, dtype=float)
     if np.any(x < 10.0):
         raise ValueError("alpha_asymptotic requires x >= 10")
-    s = ALPHA_SERIES
-    out = (0.5 * x * (np.log(x) - _angles.LOG_2PI) - 0.5 * x + s.constant
-           + s.tail(x, order))
+    out = (0.5 * x * (np.log(x) - _angles.LOG_2PI) - 0.5 * x + 15.0 * math.pi / 8.0
+           + _tail(ALPHA_SERIES, x, order))
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -6,8 +6,8 @@ the branch by insisting that consecutive samples move by less than pi/2
 and refuse to guess otherwise.  On top of that sit the zero counter, the
 winding-number cross-check against the counted zeros, the perturbation
 argument (two signals whose difference is dominated never drift a full
-turn apart), the normalized phase-decay statistic, and a sign-grid
-export of the series evaluator off the real axis.
+turn apart), the normalized phase-decay statistic, and the series
+evaluator on a rectangle off the real axis (the x-ray).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .special import oracle_terms, z_oracle
 __all__ = [
     "PhaseTrack",
     "ZeroScanReport",
-    "XrayGrid",
     "continuous_arg",
     "count_zeros",
     "phase_count_check",
@@ -445,29 +444,10 @@ def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
     return out + pref * _angles.em_tail(7.5 + 1j * z.ravel(), n0).reshape(z.shape)
 
 
-@dataclass(frozen=True)
-class XrayGrid:
-    """Sign data of the series evaluator over a rectangle in the plane.
-
-    sign_re[i, j] and sign_im[i, j] hold the signs of the real and
-    imaginary parts at re_values[i] + 1j * im_values[j].
-    """
-
-    re_values: np.ndarray
-    im_values: np.ndarray
-    sign_re: np.ndarray
-    sign_im: np.ndarray
-
-    def rows(self):
-        """Deterministic row order for export: re-major, im-minor."""
-        for i, re in enumerate(self.re_values):
-            for j, im in enumerate(self.im_values):
-                yield float(re), float(im), int(self.sign_re[i, j]), int(self.sign_im[i, j])
-
-
 def xray_grid(re0: float, re1: float, im0: float, im1: float,
-              n_re: int, n_im: int) -> XrayGrid:
-    """Evaluate sign(Re H) and sign(Im H) on an n_re x n_im rectangle.
+              n_re: int, n_im: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The series evaluator H on an n_re x n_im rectangle: (re axis, im
+    axis, H), H[i, j] complex at re[i] + 1j * im[j].
 
     The imaginary range must stay inside (-3, 4], where the continued
     series retains enough decay to converge absolutely.
@@ -490,7 +470,4 @@ def xray_grid(re0: float, re1: float, im0: float, im1: float,
     _xray_terms(re1, int(n_re) * int(n_im))
     res = np.linspace(re0, re1, int(n_re))
     ims = np.linspace(im0, im1, int(n_im))
-    h = _h_complex(res, ims)
-    return XrayGrid(res, ims,
-                    np.sign(h.real).astype(np.int8),
-                    np.sign(h.imag).astype(np.int8))
+    return res, ims, _h_complex(res, ims)

@@ -23,7 +23,6 @@ two Z routes in Z units, which also return their est.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +32,6 @@ from .errors import ConvergenceError
 from .phase import L1_TERMS, rho0, theta, theta_mod_2pi, z_denominator
 
 __all__ = [
-    "EulerianB",
     "eulerian_b",
     "fourier_cosh_moment",
     "h_r_series_info",
@@ -46,28 +44,16 @@ __all__ = [
 _N_CAP = 500_000  # term-count cap of one H_r series and of the H grid
 
 
-@dataclass(frozen=True)
-class EulerianB:
-    """Exact integer coefficients of B_n, ascending powers."""
-    coeffs: tuple[int, ...]
-
-    def value(self, x):
-        """Polynomial value at x (float arithmetic), scalars or arrays."""
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return float(acc) if np.ndim(acc) == 0 else acc
-
-
 @lru_cache(maxsize=None)
-def eulerian_b(n: int) -> EulerianB:
-    """B_n by the recurrence B_n = 2x(1-x)B'_{n-1} + (1+(2n-1)x)B_{n-1},
-    starting from B_0 = 1; exact integer arithmetic, n <= 64."""
+def eulerian_b(n: int) -> tuple[int, ...]:
+    """The exact integer coefficients of B_n in ascending powers, by the
+    recurrence B_n = 2x(1-x)B'_{n-1} + (1+(2n-1)x)B_{n-1} from B_0 = 1;
+    n <= 64.  _angles.taylor_sum(eulerian_b(n), x) is B_n(x) by Horner."""
     if not 0 <= n <= 64:
         raise ValueError("eulerian_b supports 0 <= n <= 64")
     if n == 0:
-        return EulerianB((1,))
-    prev = eulerian_b(n - 1).coeffs
+        return (1,)
+    prev = eulerian_b(n - 1)
     out = [0] * (n + 1)
     for k, c in enumerate(prev):
         if k:
@@ -75,7 +61,7 @@ def eulerian_b(n: int) -> EulerianB:
             out[k + 1] -= 2 * k * c      # -2x^2 * B'
         out[k] += c
         out[k + 1] += (2 * n - 1) * c
-    return EulerianB(tuple(out))
+    return tuple(out)
 
 
 def _m_r(y, r: int):
@@ -91,7 +77,8 @@ def _m_r(y, r: int):
         if r == 0:
             # B_0 = 1 and (1 + u)^1 change no bit: skip both
             return 2.0 * np.exp(-ay) / (1.0 + u)
-        val = 2.0 * np.exp(-ay) * eulerian_b(r).value(-u) / (1.0 + u) ** (r + 1)
+        b_r = _angles.taylor_sum(eulerian_b(r), -u)
+        val = 2.0 * np.exp(-ay) * b_r / (1.0 + u) ** (r + 1)
     if r % 2:
         val = np.where(y < 0.0, -val, val)
     return val
@@ -121,7 +108,7 @@ def _tail_const(r: int) -> float:
     the max over [0,1] is already the global sup; fine grid + 0.1% headroom.
     """
     u = np.linspace(0.0, 1.0, 4001)
-    g = np.abs(eulerian_b(r).value(-u)) / (1.0 + u) ** r
+    g = np.abs(_angles.taylor_sum(eulerian_b(r), -u)) / (1.0 + u) ** r
     return float(np.max(g)) * 1.001
 
 

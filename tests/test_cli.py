@@ -431,6 +431,29 @@ def test_xray_file_contract(tmp_path, capsys):
         assert sre in ("-1", "0", "1") and sim in ("-1", "0", "1")
 
 
+def test_xray_rows_deterministic(tmp_path, capsys):
+    # re-major, im-minor: 9 rows from (re0, im0) to (re1, im1)
+    path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, "xray", "--re0", "10000", "--re1", "10001",
+                     "--im0", "-1", "--im1", "1", "--n", "3", "--out", str(path))
+    assert code == EXIT_OK
+    rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+    assert rows == [[f"{re:.7f}", f"{im:.7f}"]
+                    for re in (10000.0, 10000.5, 10001.0) for im in (-1.0, 0.0, 1.0)]
+
+
+def test_xray_unwritable_out_is_usage_error(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    for out_path in (tmp_path, tmp_path / "missing" / "grid.csv"):
+        code, out, err = run(capsys, "xray", "--re0", "10000", "--re1", "10001",
+                             "--im0", "-1", "--im1", "1", "--n", "3",
+                             "--out", str(out_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write --out")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_xray_usage_error(capsys):
     code, _, err = run(capsys, "xray", "--re0", "10", "--re1", "20",
                        "--im0", "0", "--im1", "4.5", "--out", "/dev/null")

@@ -23,6 +23,7 @@ from zline import (
     theta_mod_2pi,
     zeta,
 )
+from zline import _angles
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -107,22 +108,24 @@ def test_phase_polar_validation():
 # --------------------------------------------------------- asymptotic series
 
 def test_series_coefficient_tables():
-    assert LOG_RHO_SERIES.constant == -1.75 * _LOG_2PI
-    assert LOG_RHO_SERIES.log_coef == 3.75
-    assert LOG_RHO_SERIES.powers == (2, 4, 6, 8)
-    assert LOG_RHO_SERIES.coefs == (19.0, -433.0 / 2.0, 13069.0 / 3.0,
-                                    -439633.0 / 4.0)
-    assert ALPHA_SERIES.constant == 15.0 * math.pi / 8.0
-    assert ALPHA_SERIES.powers == (1, 3, 5)
-    assert ALPHA_SERIES.coefs == (-241.0 / 24.0, 41279.0 / 720.0,
-                                  -2348641.0 / 2520.0)
+    assert LOG_RHO_SERIES == ((2, 19.0), (4, -433.0 / 2.0), (6, 13069.0 / 3.0),
+                              (8, -439633.0 / 4.0))
+    assert ALPHA_SERIES == ((1, -241.0 / 24.0), (3, 41279.0 / 720.0),
+                            (5, -2348641.0 / 2520.0))
+    # order 0 leaves the terms before the inverse powers, to the bit:
+    # -7/4 log 2pi + 15/4 log x, and x/2 log(x/2pi) - x/2 + 15pi/8
+    for x in (10.0, 137.5, 1e6):
+        log_x = float(np.log(x))
+        assert log_rho_asymptotic(x, 0) == -1.75 * _angles.LOG_2PI + 3.75 * log_x
+        assert alpha_asymptotic(x, 0) == (0.5 * x * (log_x - _angles.LOG_2PI) - 0.5 * x
+                                          + 15.0 * math.pi / 8.0)
 
 
 def test_series_order_guard():
     with pytest.raises(ValueError):
-        LOG_RHO_SERIES.tail(100.0, 5)
+        log_rho_asymptotic(100.0, 5)
     with pytest.raises(ValueError):
-        ALPHA_SERIES.tail(100.0, -1)
+        alpha_asymptotic(100.0, -1)
 
 
 def test_log_rho_truncations():

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from zline import (
     ConvergenceError,
+    alpha_asymptotic,
     eulerian_b,
     fourier_cosh_moment,
     g_series,
     h_r_series_info,
     h_series_grid,
+    log_rho_asymptotic,
     rho0,
     theta_mod_2pi,
     z_approx,
@@ -43,13 +45,13 @@ B_ROWS = {
 
 def test_eulerian_rows_exact():
     for n, row in B_ROWS.items():
-        assert eulerian_b(n).coeffs == row
+        assert eulerian_b(n) == row
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=12))
 def test_eulerian_palindromic_and_factorial(n):
-    c = eulerian_b(n).coeffs
+    c = eulerian_b(n)
     assert c == c[::-1]
     assert c[0] == 1
     assert sum(c) == 2 ** n * math.factorial(n)  # B_n(1), exact integers
@@ -69,7 +71,7 @@ def test_generating_identity():
     j = np.arange(200)
     for n in range(7):
         lhs = math.fsum((x ** j * (2.0 * j + 1.0) ** n).tolist())
-        rhs = eulerian_b(n).value(x) / (1.0 - x) ** (n + 1)
+        rhs = _angles.taylor_sum(eulerian_b(n), x) / (1.0 - x) ** (n + 1)
         assert abs(lhs / rhs - 1.0) < 1e-12, f"n={n}"
 
 
@@ -107,7 +109,8 @@ def test_m_0_is_the_general_form_to_the_bit():
     ay = np.abs(y)
     with np.errstate(under="ignore"):
         u = np.exp(-2.0 * ay)
-        ref = 2.0 * np.exp(-ay) * eulerian_b(0).value(-u) / (1.0 + u) ** 1
+        b_0 = _angles.taylor_sum(eulerian_b(0), -u)
+        ref = 2.0 * np.exp(-ay) * b_0 / (1.0 + u) ** 1
     assert (u == 0.0).any() and (ref == 0.0).any()
     assert series._m_r(y, 0).tobytes() == ref.tobytes()
 
@@ -126,6 +129,156 @@ def test_moment_derivative_identity():
         for y in (0.5, 2.0):
             numeric = (_sech_deriv(n - 1, y + h) - _sech_deriv(n - 1, y - h)) / (2.0 * h)
             assert abs(numeric - _sech_deriv(n, y)) <= 1e-6, f"n={n}, y={y}"
+
+
+# The Eulerian path (B_r by Horner inside m_r and C_r) and the asymptotic
+# series of h, to the bit: each key is a function and its fixed argument,
+# and its values run over n = 0..16, r = 0..8 or the orders 0..4 and 0..3
+_PINNED_BITS = {
+    ('fourier_cosh_moment', 0.3): (
+        (0.6235213061335607, 0.0),
+        (0.0, 1.706155224339106),
+        (-1.6990450100540417, 0.0),
+        (0.0, 27.853398993709103),
+        (-294.54954129111917, 0.0),
+        (-0.0, -1072.47162011993),
+        (-17075.661241911093, 0.0),
+        (0.0, -399523.87676082354),
+        (3296444.398989869, 0.0),
+        (-0.0, -37589287.95787156),
+        (1791717651.5383368, -0.0),
+        (0.0, 26391031378.355766),
+        (159511280272.16385, 0.0),
+        (0.0, 18396761141425.25),
+        (-430657343638891.94, 0.0),
+        (0.0, -43232265364876.766),
+        (-3.5324488547415514e+17, 0.0),
+    ),
+    ('fourier_cosh_moment', -1.7): (
+        (0.005211645647633337, 0.0),
+        (-0.0, -0.0182405120441132),
+        (-0.06383919109060937, 0.0),
+        (0.0, 0.2234098580594885),
+        (0.781647747464916, 0.0),
+        (-0.0, -2.7327563070301046),
+        (-9.533035787667366, 0.0),
+        (0.0, 33.03374539295422),
+        (112.13404663187279, 0.0),
+        (-0.0, -355.89834465651836),
+        (-861.857706202698, 0.0),
+        (0.0, -1009.6325573296562),
+        (-45744.7220493148, 0.0),
+        (0.0, 602212.7958167575),
+        (6730453.977670323, -0.0),
+        (0.0, -71755576.42977452),
+        (-751297199.200629, 0.0),
+    ),
+    ('fourier_cosh_moment', 40.0): (
+        (3.160840120547226e-61, 0.0),
+        (0.0, 1.1062940421915291e-60),
+        (-3.872029147670352e-60, 0.0),
+        (0.0, -1.3552102016846233e-59),
+        (4.743235705896181e-59, 0.0),
+        (0.0, 1.6601324970636632e-58),
+        (-5.810463739722822e-58, 0.0),
+        (0.0, -2.0336623089029876e-57),
+        (7.117818081160456e-57, 0.0),
+        (0.0, 2.4912363284061597e-56),
+        (-8.719327149421559e-56, 0.0),
+        (0.0, -3.051764502297546e-55),
+        (1.0681175758041411e-54, 0.0),
+        (0.0, 3.738411515314494e-54),
+        (-1.3084440303600727e-53, 0.0),
+        (0.0, -4.5795541062602545e-53),
+        (1.6028439371910892e-52, 0.0),
+    ),
+    ('fourier_cosh_moment', -250.0): (
+        (0.0, 0.0),
+        (-0.0, 0.0),
+        (-0.0, 0.0),
+        (0.0, 0.0),
+        (0.0, 0.0),
+        (-0.0, 0.0),
+        (-0.0, 0.0),
+        (0.0, 0.0),
+        (0.0, 0.0),
+        (-0.0, 0.0),
+        (-0.0, 0.0),
+        (0.0, 0.0),
+        (0.0, 0.0),
+        (-0.0, 0.0),
+        (-0.0, 0.0),
+        (0.0, 0.0),
+        (0.0, 0.0),
+    ),
+    ('_tail_const', None): (
+        1.001,
+        1.001,
+        1.001,
+        1.7585777300223504,
+        5.004999999999999,
+        14.303962021709706,
+        61.06099999999999,
+        246.6586849592519,
+        1386.3849999999998,
+    ),
+    ('log_rho_asymptotic', 10.0): (
+        5.418409232511318,
+        5.608409232511319,
+        5.5867592325113185,
+        5.591115565844651,
+        5.590016483344652,
+    ),
+    ('log_rho_asymptotic', 137.5): (
+        15.247304822933494,
+        15.24830978161118,
+        15.248309175925776,
+        15.248309176570396,
+        15.248309176569537,
+    ),
+    ('log_rho_asymptotic', 1000000.0): (
+        48.59187972614967,
+        48.59187972616867,
+        48.59187972616867,
+        48.59187972616867,
+        48.59187972616867,
+    ),
+    ('alpha_asymptotic', 10.0): (
+        3.2140263584043636,
+        2.209859691737697,
+        2.267191636182141,
+        2.257871632213887,
+    ),
+    ('alpha_asymptotic', 137.5): (
+        149.28558221091893,
+        149.21255190788864,
+        149.21257396194991,
+        149.2125739429871,
+    ),
+    ('alpha_asymptotic', 1000000.0): (
+        5488822.636263689,
+        5488822.6362536475,
+        5488822.6362536475,
+        5488822.6362536475,
+    ),
+}
+
+
+def _pinned_values(name, arg):
+    if name == "fourier_cosh_moment":
+        return [(v.real, v.imag) for v in (fourier_cosh_moment(n, arg) for n in range(17))]
+    if name == "_tail_const":
+        return [series._tail_const(r) for r in range(9)]
+    fn, orders = {"log_rho_asymptotic": (log_rho_asymptotic, 5),
+                  "alpha_asymptotic": (alpha_asymptotic, 4)}[name]
+    return [fn(arg, k) for k in range(orders)]
+
+
+@pytest.mark.parametrize("name, arg", list(_PINNED_BITS))
+def test_eulerian_and_asymptotic_frozen_bits(name, arg):
+    def bits(values):
+        return [np.asarray(v, dtype=float).tobytes() for v in values]
+    assert bits(_pinned_values(name, arg)) == bits(_PINNED_BITS[name, arg])
 
 
 # --------------------------------------------------------------- H_r series

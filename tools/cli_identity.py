@@ -33,9 +33,11 @@ from pathlib import Path
 _XRAY_BOXES = (
     ("10000", "10020", "-2", "4", "40"),
     ("100", "120", "-2", "4", "30"),
-    ("7e6", "7.00001e6", "-1", "1", "3"),       # refused: exit 3
+    ("7e6", "7.00001e6", "-1", "1", "3"),       # 2^22 terms, the row cap
     ("1000", "1010", "-2", "4", "40"),
     ("5e6", "5.00001e6", "-1", "1", "20"),      # 2^21 terms, read in parts
+    # near Re z ~ |Im z|: halved sub-tiles, Taylor and direct
+    ("2", "12", "-2", "4", "40"),
 )
 
 
