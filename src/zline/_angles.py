@@ -26,10 +26,16 @@ from the first term the tail leaves out), the work budget of every points
 x terms sum, the bound (0, EPS_MAX] of every tail target eps with its one
 check and its default EPS_DEFAULT, n with log n from one place, and
 exact_sum, the exactly rounded sum of complex arrays (what math.fsum
-gives, binned by exponent in numpy) that the H_r series and the
-trapezoid rule of quad share.  Two tables are kept between calls,
-read-only, each in a slot of one value that a call reads once and that
-is replaced whole, so calls from several threads never see each other's:
+gives, binned by exponent in numpy) that the trapezoid rule of quad
+takes, and lane_sums, its case of series whose terms are formed in
+parts, which the H_r series take: one pass over the parts serves several
+series, and the parts are split over lanes, the calling thread and a
+thread pool made on first use, one lane per CPU the process may run on.
+Each lane bins its own parts and each sum rounds the bins of all lanes
+once, so its bits do not depend on the number of lanes.  Two tables are
+kept between calls, read-only, each in a slot of one value that a call
+reads once and that is replaced whole, so calls from several threads
+never see each other's:
 the last step matrix of at most RETAIN_TERMS (16384) terms (16 MB), whose
 last N rows serve every smaller term count N at its step, and one table
 of n with log n (terms) of at most 2^20 terms (24 MB), replaced by a
@@ -40,7 +46,9 @@ terms is formed.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from decimal import Context, Decimal
 from functools import lru_cache
 from itertools import chain
@@ -279,6 +287,58 @@ def _fsum(pieces) -> float:
     return math.fsum(pieces[0] if len(pieces) == 1 else chain.from_iterable(pieces))
 
 
+class _Bins:
+    """One lane's running exact sum of one series: the bins being filled
+    (acc, with the count of values they hold), and in re and im the
+    values fsum is to round, read-out bins and the short ends of arrays."""
+
+    __slots__ = ("re", "im", "acc", "held")
+
+    def __init__(self):
+        self.re, self.im, self.acc, self.held = [], [], None, 0
+
+    def add(self, z) -> None:
+        """Bin a 1-d complex array in blocks of _SUM_BLOCK values, reading
+        the bins out first where they would pass _SUM_EXACT values; its
+        last fewer than _SUM_BIN_MIN values are kept as they are."""
+        z = np.asarray(z, dtype=complex)
+        if z.ndim != 1:
+            raise ValueError("exact_sum takes 1-d arrays")
+        start = 0
+        while z.size - start >= _SUM_BIN_MIN:
+            block = np.ascontiguousarray(z[start:start + _SUM_BLOCK])
+            if self.held + block.size > _SUM_EXACT:
+                self.read_out()
+            if self.acc is None:
+                self.acc = np.zeros((2, 2, _SUM_SPAN))
+            _add_bins(block, self.acc)
+            self.held += block.size
+            start += block.size
+        if start < z.size:
+            self.re.append(memoryview(z[start:].real))
+            self.im.append(memoryview(z[start:].imag))
+
+    def read_out(self) -> None:
+        """Move the bins being filled, as exact doubles, to re and im."""
+        if self.acc is not None:
+            _bin_values(self.acc, self.re, self.im)
+            self.acc, self.held = None, 0
+
+
+def _rounded(lanes) -> complex:
+    """The one rounding of a sum whose values the _Bins of `lanes` hold:
+    one math.fsum a part over every lane's bins and values."""
+    re, im = [], []
+    for b in lanes:
+        b.read_out()
+        re += b.re
+        im += b.im
+    re, im = _fsum(re), _fsum(im)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError("exact_sum takes finite values")
+    return complex(re, im)
+
+
 def exact_sum(parts) -> complex:
     """The exactly rounded sums of the real and of the imaginary parts of
     an iterable of finite 1-d complex arrays: bit for bit what math.fsum
@@ -294,34 +354,105 @@ def exact_sum(parts) -> complex:
     temporaries; the last fewer than _SUM_BIN_MIN values of an array go
     into that fsum as they are.  A non-finite value raises ValueError, and
     a bin that overflows OverflowError, as fsum does where its partial sums
-    overflow.
+    overflow.  This is the one-lane case of lane_sums: the bins of several
+    lanes are rounded together, so the sum is the same for any lanes.
     """
-    re, im = [], []
-    acc, held = None, 0
+    bins = _Bins()
     for z in parts:
-        z = np.asarray(z, dtype=complex)
-        if z.ndim != 1:
-            raise ValueError("exact_sum takes 1-d arrays")
-        start = 0
-        while z.size - start >= _SUM_BIN_MIN:
-            block = np.ascontiguousarray(z[start:start + _SUM_BLOCK])
-            if held + block.size > _SUM_EXACT:
-                _bin_values(acc, re, im)
-                acc, held = None, 0
-            if acc is None:
-                acc = np.zeros((2, 2, _SUM_SPAN))
-            _add_bins(block, acc)
-            held += block.size
-            start += block.size
-        if start < z.size:
-            re.append(memoryview(z[start:].real))
-            im.append(memoryview(z[start:].imag))
-    if acc is not None:
-        _bin_values(acc, re, im)
-    re, im = _fsum(re), _fsum(im)
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ValueError("exact_sum takes finite values")
-    return complex(re, im)
+        bins.add(z)
+    return _rounded([bins])
+
+
+# most lanes a sum takes: parts of RETAIN_TERMS // lanes terms stay wide
+# enough to be binned (_SUM_BIN_MIN)
+_MAX_LANES = RETAIN_TERMS // _SUM_BIN_MIN
+# the thread pool that runs every lane but the caller's, made on first use
+# and dropped in a child process after fork
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _lane_count() -> int:
+    """The lanes a sum may take: the CPUs this process may run on, at most
+    _MAX_LANES."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_LANES)
+
+
+def _lane_pool():
+    """The pool of lanes, made on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(max_workers=_MAX_LANES - 1,
+                                       thread_name_prefix="zline-lane")
+        return _POOL
+
+
+def _drop_pool() -> None:
+    """Forget the pool and its lock in a child process: their threads did
+    not come with it across fork."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _in_lanes(lane, lanes: int) -> list:
+    """[lane(0), ..., lane(lanes - 1)]: lane 0 on the calling thread, the
+    others on the pool.  An exception of any lane is raised once every
+    lane has stopped.  A lane must never submit to the pool: then no task
+    of the pool waits on another, and callers on several threads cannot
+    deadlock."""
+    if lanes == 1:
+        return [lane(0)]
+    from concurrent.futures import wait
+    pool, futures = _lane_pool(), []
+    try:
+        for j in range(1, lanes):
+            futures.append(pool.submit(lane, j))
+        first = lane(0)
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
+def lane_sums(n_terms: int, count: int, part_terms) -> list:
+    """The exact sums (as exact_sum gives them) of `count` series over
+    n = 1..N, from one pass over the terms in parts: part_terms(n, log n),
+    for one part of term_parts, returns the `count` 1-d complex arrays of
+    the series' terms there, None for a series without terms in it.
+
+    With L lanes (_lane_count) the parts are RETAIN_TERMS // L terms wide,
+    so that the parts in flight hold RETAIN_TERMS terms for any L, and
+    lane j takes parts j, j + L, ..., at most L lanes and one part or more
+    a lane.  Each lane
+    bins its parts' terms as exact_sum does, and each sum rounds the bins
+    of all lanes once, so its bits do not depend on L.  A sum of one part
+    runs on the calling thread alone.  part_terms runs in the lanes and
+    must not itself sum in lanes (see _in_lanes).
+    """
+    lanes = _lane_count()
+    width = RETAIN_TERMS // lanes
+    lanes = max(1, min(lanes, -(-n_terms // width)))
+    parts = [term_parts(n_terms, width, j, lanes) for j in range(lanes)]
+
+    def lane(j):
+        bins = [_Bins() for _ in range(count)]
+        for n, log_n in parts[j]:
+            for b, z in zip(bins, part_terms(n, log_n)):
+                if z is not None:
+                    b.add(z)
+        return bins
+
+    done = _in_lanes(lane, lanes)
+    return [_rounded([bins[k] for bins in done]) for k in range(count)]
 
 
 # the one n and log n table terms keeps, (n, log n) for n = 1..M, or None;
@@ -357,18 +488,16 @@ def terms(n_terms: int):
     return n[:n_terms], log_n[:n_terms]
 
 
-def term_parts(n_terms: int, width: int):
+def term_parts(n_terms: int, width: int, lane: int = 0, lanes: int = 1):
     """(n, log n) for n = 1..N in parts of `width` terms, in order of n,
     read-only: views of the kept table up to _KEEP_TERMS, each part built
     alone above it, so that no table of more than _KEEP_TERMS terms is
-    formed."""
+    formed.  Given lanes, only the parts lane, lane + lanes, ...  The kept
+    table is read when the call is made, the parts as they are taken."""
     kept = terms(n_terms) if n_terms <= _KEEP_TERMS else None
-    for start in range(0, n_terms, width):
-        stop = min(start + width, n_terms)
-        if kept is None:
-            yield _term_table(start, stop)
-        else:
-            yield kept[0][start:stop], kept[1][start:stop]
+    return (_term_table(start, min(start + width, n_terms)) if kept is None
+            else (kept[0][start:start + width], kept[1][start:start + width])
+            for start in range(lane * width, n_terms, lanes * width))
 
 
 # the last step matrix _step_matrix built of at most RETAIN_TERMS terms,

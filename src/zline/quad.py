@@ -294,8 +294,9 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     _angles.dirichlet_sums (in slices of 65536 samples, 8192 in t).  The
     products are BLAS sums (deterministic for fixed shapes); the small
     loss of exact rounding only perturbs tracked phases at the 1e-10 rad
-    level.  Work over the budget, zeta's and then the kernel's
-    (points x (2w + 2) terms), is refused before anything per t is formed.
+    level.  Work over the budget, zeta's (lattice samples x its term
+    count) and then the kernel's (points x (2w + 2) terms), is refused
+    before f, and zeta in it, is formed on the lattice.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
@@ -305,8 +306,10 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     h = _STEP
     w = math.ceil(_f_window(float(ts[-1]), 4.0, _angles.EPS_DEFAULT) / h)
     lo = math.floor(ts[0] / h) - w
-    y = f_on_line(h * np.arange(lo, math.floor(ts[-1] / h) + w + 2))
+    x = h * np.arange(lo, math.floor(ts[-1] / h) + w + 2)
+    _angles.check_work(x.size, zeta_terms(4.0, x))
     _angles.check_work(ts.size, 2 * w + 2)
+    y = f_on_line(x)
     windows = sliding_window_view(y, 2 * w + 2)
     # h a power of two: k, kh and r are exact, 0 <= r < h
     k = np.floor(ts / h)

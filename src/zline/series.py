@@ -15,7 +15,9 @@ drives the approximation Z(t) ~ (t/2pi)^{7/4} Re{e^{i theta(t)} H(t)}
 (z_approx), and g_series assembles the full bracket G of H_0..H_4 that
 mirrors the L1 polynomial of the staged integrals; z_g is Re G over the
 denominator of Z.  H_r forms its terms in parts of the shared n and log n
-(_angles.term_parts) and sums them exactly rounded (_angles.exact_sum).
+and sums them exactly rounded, the parts split over lanes
+(_angles.lane_sums); G's five H_r share one pass over the parts, so each
+part forms its n^{-it} once.
 Each function takes its tail target as one float eps in (0, 1e-3]
 (_angles.EPS_MAX): h_r_series_info and g_series in the units of H, the
 two Z routes in Z units, which also return their est.
@@ -128,6 +130,38 @@ def _n_terms(t: float, r: int, log_eps: float, what: str) -> int:
     return n_terms
 
 
+def _h_r_terms(t: float, r: int, eps: float) -> int:
+    """The term count of H_r(t) at tail target eps, after the checks of
+    its arguments (ValueError) and of the cap (ConvergenceError)."""
+    _angles.check_eps(eps)
+    if not t > 0.0:
+        raise ValueError("h_r_series_info requires t > 0")
+    if not 0 <= r <= 8:
+        raise ValueError("h_r_series_info supports 0 <= r <= 8")
+    return _n_terms(t, r, math.log(eps), f"H_{r}({t:g})")
+
+
+def _h_r_sums(t: float, counts) -> list:
+    """sum_n n^{-4-it} m_r(y_n) over n = 1..N_r for each (r, N_r) of
+    counts, from one pass over the terms up to the largest N_r
+    (_angles.lane_sums).  Each part forms log n, n^-4 and n^{-it} once;
+    each r whose terms reach into it takes (m_r(y_n) n^-4) n^{-it} there,
+    in that order, the association of the terms of one H_r alone."""
+    log_scale = math.log(t) - _angles.LOG_2PI
+
+    def part_terms(n, log_n):
+        # y_n = (7/4) log(t/(2 pi n^2)) free of cancellation
+        y = 1.75 * (log_scale - 2.0 * np.log(n))
+        inv_n4 = n ** -4.0
+        kernel = _angles.n_pow_minus_it(t, log_n)
+        first = int(n[0]) - 1
+        return [None if n_r <= first else
+                _m_r(y[:n_r - first], r) * inv_n4[:n_r - first] * kernel[:n_r - first]
+                for r, n_r in counts]
+
+    return _angles.lane_sums(max(n_r for _, n_r in counts), len(counts), part_terms)
+
+
 def h_r_series_info(t: float, r: int, eps: float = _angles.EPS_DEFAULT
                     ) -> tuple[complex, int, float]:
     """H_r(t) = (7i/2)^r sum_n n^{-4-it} m_r(y_n), truncated at the first N
@@ -137,22 +171,13 @@ def h_r_series_info(t: float, r: int, eps: float = _angles.EPS_DEFAULT
     that stable form.
 
     Phases of n^{-it} are reduced mod 2pi in extended precision.  The terms
-    are formed in parts of RETAIN_TERMS (_angles.term_parts), and the real
-    and imaginary sums are exactly rounded (_angles.exact_sum), so the
-    result is deterministic and independent of summation order.
+    are formed in parts and summed in lanes (_h_r_sums, one r of it), the
+    real and imaginary sums exactly rounded as _angles.exact_sum rounds
+    them, so the result is deterministic and independent of summation
+    order and of the number of lanes.
     """
-    _angles.check_eps(eps)
-    if not t > 0.0:
-        raise ValueError("h_r_series_info requires t > 0")
-    if not 0 <= r <= 8:
-        raise ValueError("h_r_series_info supports 0 <= r <= 8")
-    n_terms = _n_terms(t, r, math.log(eps), f"H_{r}({t:g})")
-    log_scale = math.log(t) - _angles.LOG_2PI
-    # y_n = (7/4) log(t/(2 pi n^2)) free of cancellation
-    terms = (_m_r(1.75 * (log_scale - 2.0 * np.log(n)), r) * n ** -4.0
-             * _angles.n_pow_minus_it(t, log_n)
-             for n, log_n in _angles.term_parts(n_terms, _angles.RETAIN_TERMS))
-    value = (3.5j) ** r * _angles.exact_sum(terms)
+    n_terms = _h_r_terms(t, r, eps)
+    value = (3.5j) ** r * _h_r_sums(t, [(r, n_terms)])[0]
     return value, n_terms, math.exp(_log_lead(t, r) - 6.5 * math.log(n_terms)) / 6.5
 
 
@@ -233,7 +258,9 @@ def g_series(t: float, eps: float = _angles.EPS_DEFAULT) -> complex:
     e^{i theta} rho0 times the bracket, the L1 polynomial (L1_TERMS) with
     x^r replaced by H_r, for a tail target eps of the bracket.  Exists to
     cross-validate the integral and series representations, not as a
-    production evaluator.
+    production evaluator.  The five H_r, each to its own term count, come
+    from one pass over the terms (_h_r_sums), with the bits each gives
+    alone.
     """
     if t < 20.0:
         raise ValueError("g_series requires t >= 20")
@@ -245,7 +272,8 @@ def g_series(t: float, eps: float = _angles.EPS_DEFAULT) -> complex:
     for r, c, d, k, _ in L1_TERMS:
         weights[r] += abs(c) / (d * t_k[k])
     epss = [0.5 * eps] + [min(_angles.EPS_MAX, eps / (8.0 * w)) for w in weights[1:]]
-    h = [h_r_series_info(t, r, eps_r)[0] for r, eps_r in enumerate(epss)]
+    counts = [(r, _h_r_terms(t, r, eps_r)) for r, eps_r in enumerate(epss)]
+    h = [(3.5j) ** r * s for r, s in enumerate(_h_r_sums(t, counts))]
     bracket = h[0]
     for r, c, d, k, imaginary in L1_TERMS:
         bracket = bracket + (1j * c if imaginary else c) * h[r] / (d * t_k[k])

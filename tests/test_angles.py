@@ -3,9 +3,13 @@ sums against the direct route, the Taylor rows of sech, and exact_sum
 against math.fsum."""
 import decimal
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -727,3 +731,80 @@ def test_h_r_terms_are_formed_in_parts():
     assert got == (3.2939933829243536e-12 - 9.347319983571223e-13j, 182352,
                    4.429036685849152e-23)
     assert peak < 4 << 20
+
+
+# ------------------------------------------------------------------ lanes
+
+@pytest.mark.parametrize("bad_part", [0, 1, 5])
+def test_lane_error_is_raised_after_every_lane_stops(monkeypatch, bad_part):
+    # a non-finite term in one part (of two lanes, the caller's takes the
+    # even parts and the pool's the odd) raises ValueError once the other
+    # lane has run out of parts: no part is being formed afterwards, and
+    # none is begun later
+    monkeypatch.setattr(_angles, "_lane_count", lambda: 2)
+    width = _angles.RETAIN_TERMS // 2
+    lock = threading.Lock()
+    began, ended = [], []
+
+    def part_terms(n, log_n):
+        with lock:
+            began.append(int(n[0]))
+        time.sleep(0.01)
+        z = np.ones(n.size, dtype=complex)
+        if n[0] == bad_part * width + 1:
+            z[n.size // 2] = math.nan
+        with lock:
+            ended.append(int(n[0]))
+        return [z]
+
+    with pytest.raises(ValueError, match="finite"):
+        _angles.lane_sums(8 * width, 1, part_terms)
+    with lock:
+        assert sorted(began) == sorted(ended)
+        seen = len(began)
+    time.sleep(0.05)
+    assert len(began) == seen and bad_part * width + 1 in ended
+
+
+_FORK_CHILD = """
+import multiprocessing
+from zline import _angles
+from zline.series import _h_eps, h_r_series_info
+
+_angles._lane_count = lambda: 2
+eps = _h_eps(3.6e7, 1e-10)
+ref = h_r_series_info(3.6e7, 0, eps)  # the pool of lanes now exists
+assert _angles._POOL is not None and ref[1] > _angles.RETAIN_TERMS
+
+def child(conn):
+    conn.send((_angles._POOL is None, h_r_series_info(3.6e7, 0, eps)))
+
+ctx = multiprocessing.get_context("fork")
+recv, send = ctx.Pipe(duplex=False)
+proc = ctx.Process(target=child, args=(send,))
+proc.start()
+if recv.poll(30):
+    dropped, got = recv.recv()
+    print(dropped, got == ref, end=" ")
+proc.join(30)
+if proc.is_alive():  # a child that hangs leaves with its parent
+    proc.kill()
+    proc.join(5)
+print(proc.exitcode)
+"""
+
+
+def _child_env():
+    """This environment, with the package's source first on the path."""
+    src = str(Path(_angles.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_lanes_after_fork():
+    # a forked child has none of the pool's threads: the pool is dropped
+    # and made again, and an H_0 of several parts gives the parent's bits
+    out = subprocess.run([sys.executable, "-c", _FORK_CHILD], capture_output=True,
+                         text=True, timeout=120, env=_child_env())
+    assert (out.returncode, out.stdout) == (0, "True True 0\n"), out.stderr

@@ -3,8 +3,12 @@ the JSON/CSV contracts."""
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -676,3 +680,59 @@ def test_non_finite_route_result_is_usage_error(capsys, monkeypatch, result, fie
     code, out, err = run(capsys, "eval", "--t", "10", "--method", "oracle")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: non-finite field {field!r}\n"
+
+
+# ------------------------------------------- text across CPU code paths
+
+_CONFIG_CHILD = """
+import contextlib, io, os, sys
+if sys.argv[1] == "one CPU" and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+try:
+    import numpy
+except Exception as exc:  # numpy refuses this configuration
+    print("no numpy:", exc)
+    sys.exit(0)
+from zline import cli
+for argv in (["table"], ["scan", "--from", "10", "--to", "30"],
+             ["eval", "--t", "1e4", "--method", "approx"],
+             ["eval", "--t", "3.7e7", "--method", "g"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    print(argv, code, out.getvalue())
+"""
+
+# numpy's AVX2 loops (what an AVX2-only x86 CPU runs), two OpenBLAS
+# kernels, and the default on one CPU (one lane)
+_CONFIGS = {
+    "default": {},
+    "numpy AVX2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL X86_V4"},
+    "OpenBLAS Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "OpenBLAS Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "one CPU": {},
+}
+
+
+def test_text_stdout_is_the_same_on_every_cpu_path():
+    # text output (7 decimals) must not move with numpy's SIMD loops, the
+    # BLAS kernel or the number of lanes, though their last bits may
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs, refused = {}, []
+    for name, extra in _CONFIGS.items():
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env.update(extra)
+        child = subprocess.run([sys.executable, "-c", _CONFIG_CHILD, name],
+                               capture_output=True, text=True, timeout=60, env=env)
+        assert child.returncode == 0, (name, child.stderr)
+        if child.stdout.startswith("no numpy:"):
+            refused.append(f"{name} ({child.stdout.strip()})")
+        else:
+            outputs[name] = child.stdout
+    assert "default" in outputs, refused
+    for name, out in outputs.items():
+        assert out == outputs["default"], name
+    if refused:
+        pytest.skip("numpy cannot be imported under " + "; ".join(refused))

@@ -312,6 +312,20 @@ def test_f_integral_grid_refuses_kernel_work_over_budget(monkeypatch):
         f_integral_grid(ts)
 
 
+def test_f_integral_grid_refuses_before_zeta_runs(monkeypatch):
+    # over the work budget the grid is refused before f (and zeta in it)
+    # is formed on the lattice: the kernel's 2e6 points x 2048 terms, and
+    # first zeta's 8,000,xxx lattice samples x 65536 terms up to t = 1e6
+    def no_f(*args):
+        raise AssertionError("f formed on the lattice")
+
+    monkeypatch.setattr(quad, "f_on_line", no_f)
+    with pytest.raises(ConvergenceError, match="2000000 points x 2048 terms"):
+        f_integral_grid(np.linspace(10.0, 3000.0, 2_000_000))
+    with pytest.raises(ConvergenceError, match=r"^8\d{6} points x 65536 terms"):
+        f_integral_grid(np.array([0.0, 1e6]))
+
+
 # ---------------------------------------------------------- staged chain
 
 def test_staged_chain_at_hundred():

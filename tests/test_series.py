@@ -435,6 +435,57 @@ def test_h_r_series_frozen_bits(t, r, eps, ref):
     assert h_r_series_info(t, r, eps) == ref
 
 
+# values of many parts at the tail target the Z routes pass (_h_eps): H_0
+# at 3.6e7 of 125,536 terms, H_1 at 1e8 of 263,866, G at 1e7 and 3.7e7 and
+# the approx route at 7.2e7 (182,331 terms), taken before the sums ran in
+# lanes
+_MULTI_PART_PINS = (
+    (lambda: h_r_series_info(3.6e7, 0, series._h_eps(3.6e7, 1e-10)),
+     (-7.320014339546346e-12 + 8.650367449050188e-12j, 125536, 1.490292312824169e-22)),
+    (lambda: h_r_series_info(1e8, 1, series._h_eps(1e8, 1e-10)),
+     (-1.1016577299737326e-11 + 1.932308582793809e-12j, 263866, 2.49351320866945e-23)),
+    (lambda: repr(g_series(1e7, series._h_eps(1e7, 1e-10))),
+     "(1435255035627166.8+1079409763376093.8j)"),
+    (lambda: repr(g_series(3.7e7, series._h_eps(3.7e7, 1e-10))),
+     "(-1586474297135572.5+3367354950599711.5j)"),
+    (lambda: z_approx(7.2e7), (-0.35441295847320864, 1.4634741535776991e-10)),
+)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_multi_part_sums_frozen_bits(monkeypatch, lanes):
+    # every sum rounds the bins of all its lanes once: the same bits for
+    # any number of lanes and parts
+    monkeypatch.setattr(_angles, "_lane_count", lambda: lanes)
+    for value, ref in _MULTI_PART_PINS:
+        assert value() == ref
+
+
+def test_g_sums_its_h_r_in_one_pass(monkeypatch):
+    # G's five H_r take one n^{-it} row per part, up to the largest N_r,
+    # and each sum of the shared pass is the one its r gives alone
+    t, eps = 3.7e7, series._h_eps(3.7e7, 1e-10)
+    kernels, passes = [], []
+    n_pow, h_r_sums = _angles.n_pow_minus_it, series._h_r_sums
+
+    def counted(t, log_n):
+        kernels.append(log_n.size)
+        return n_pow(t, log_n)
+
+    def spy(t, counts):
+        passes.append((counts, h_r_sums(t, counts)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(_angles, "n_pow_minus_it", counted)
+    monkeypatch.setattr(series, "_h_r_sums", spy)
+    g_series(t, eps)
+    [(counts, sums)] = passes
+    assert [r for r, _ in counts] == [0, 1, 2, 3, 4]
+    assert sum(kernels) == max(n_r for _, n_r in counts) > 1 << 14
+    for (r, n_r), got in zip(counts, sums):
+        assert h_r_sums(t, [(r, n_r)]) == [got], r
+
+
 def test_z_routes_refuse_the_cap_before_scaling_eps():
     # (t/2pi)^(-7/4) eps underflows to 0 near t = 1e200, and the power form
     # of the term count overflowed from t ~ 1e88
