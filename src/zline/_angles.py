@@ -19,18 +19,20 @@ the step h and the term count N.  Every amplitude comes as Taylor rows
 about the block's centre: zeta's constant n^-sigma is one row of order
 0, and H's sech factor, which moves with t, takes the rows of sech_taylor
 (the x-ray uses them on its tiles too).  The other samples are summed
-directly, in blocks of rows and terms under ROW_ELEMS elements.  This
-module also holds what the sums share: log 2pi, the power-of-two term
-bucket, the Euler-Maclaurin tail with zeta's one term rule (em_terms,
-from the first term the tail leaves out), the work budget of every points
-x terms sum, the bound (0, EPS_MAX] of every tail target eps with its one
-check and its default EPS_DEFAULT, n with log n from one place, and
-exact_sum, the exactly rounded sum of complex arrays (what math.fsum
-gives, binned by exponent in numpy) that the trapezoid rule of quad
-takes, and lane_sums, its case of series whose terms are formed in
-parts, which the H_r series take: one pass over the parts serves several
-series, and the parts are split over lanes, the calling thread and a
-thread pool made on first use, one lane per CPU the process may run on.
+directly, each row in parts of at most ROW_ELEMS terms, in blocks of rows
+whose live temporaries hold at most ROW_ELEMS elements in all
+(direct_rows).  This module also holds what the sums share: log 2pi,
+the power-of-two term bucket, the Euler-Maclaurin tail with zeta's one
+term rule (em_terms, from the first term the tail leaves out), the work
+budget of every points x terms sum, the bound (0, EPS_MAX] of every tail
+target eps with its one check and its default EPS_DEFAULT, n with log n
+from one place, and exact_sum, the exactly rounded sum of complex arrays
+(what math.fsum gives, binned by exponent in numpy) that the trapezoid
+rule of quad takes, and lane_sums, its case of series whose terms are
+formed in parts, which the H_r series take: one pass over the parts
+serves several series, and the parts are split over lanes, the calling
+thread and a thread pool made on first use, one lane per CPU the process
+may run on.
 Each lane bins its own parts and each sum rounds the bins of all lanes
 once, so its bits do not depend on the number of lanes.  Two tables are
 kept between calls, read-only, each in a slot of one value that a call
@@ -75,8 +77,13 @@ _LATTICE_MIN_ROWS = 16
 # forms
 _LATTICE_MAX_TERMS = (1 << 25) // _LATTICE_BLOCK
 _LATTICE_SLICE = 1 << 16  # samples per lattice_sums call, ~100 bytes each
-#: element budget (rows x terms) of one block of phase rows
+#: element budget of one block of phase rows: the elements of the block's
+#: live temporaries, summed over them (16 MB at 16 bytes an element)
 ROW_ELEMS = 1 << 20
+# arrays of its rows x terms a block of a direct sum keeps alive at once,
+# at most: the amplitude and the temporaries that form it, the longdouble
+# phases and their reduction, the phases as double and the terms
+_DIRECT_TEMPS = 8
 #: largest term count whose step matrix is kept between calls (B x N,
 #: 16 MB, within ROW_ELEMS); the kept n and log n table is sized by powers
 #: of two up to it
@@ -582,7 +589,8 @@ def lattice_sums(x, amp, log_n, shift=None):
     route.  An order-0 block (every block of a constant amplitude, zeta's)
     keeps one (1 x N) @ (N x B) product per anchor (see _products); the
     Taylor rows of higher orders go in one stacked product per order and
-    row chunk.
+    row chunk.  A chunk's rows and products are dropped before the next
+    chunk forms its own, so one chunk's temporaries are alive at a time.
     """
     x = np.asarray(x, dtype=float)
     on = np.zeros(x.shape, dtype=bool)
@@ -658,9 +666,18 @@ def lattice_sums(x, amp, log_n, shift=None):
                 fix = _products(taylor[:(ke + 1) * blocks.size], steps, kk == 0,
                                 log_d_f).reshape(ke + 1, -1)
                 s = s - 1j * ee * taylor_sum(fix[:, col], dd)
+                del fix
             sums[r] = s
             on[r] = True
+            del taylor, prod
     return on, sums
+
+
+def direct_rows(width: int) -> int:
+    """Rows of `width` terms a block of a direct sum takes: its live
+    temporaries, at most _DIRECT_TEMPS arrays of its rows x terms at once,
+    stay under ROW_ELEMS elements in total; one row at the least."""
+    return max(1, ROW_ELEMS // (_DIRECT_TEMPS * width))
 
 
 def dirichlet_sums(x, n_terms: int, direct, amp=None, shift=None) -> np.ndarray:
@@ -669,9 +686,11 @@ def dirichlet_sums(x, n_terms: int, direct, amp=None, shift=None) -> np.ndarray:
     lattice_sums takes (with shift), the samples on a uniform lattice take
     that route, 65536 samples a call, wherever the lattice can run.  Every
     other sample is summed directly from direct(rows, n), the amplitude
-    a_n(x[rows]) for the n of one part of term_parts, in blocks of rows and
-    terms under ROW_ELEMS elements: each row by numpy's pairwise sum, and
-    one of more than ROW_ELEMS terms in parts added in order of n.
+    a_n(x[rows]) for the n of one part of term_parts: each row by numpy's
+    pairwise sum over parts of min(N, ROW_ELEMS) terms, added in order of
+    n, and direct_rows rows a block, so that a block's live temporaries
+    (_DIRECT_TEMPS arrays of its rows x terms) hold at most ROW_ELEMS
+    elements in all.  A row's sum does not depend on the rows beside it.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=complex)
@@ -686,8 +705,9 @@ def dirichlet_sums(x, n_terms: int, direct, amp=None, shift=None) -> np.ndarray:
             on[part], out[part] = lattice_sums(x[part], lattice_amp, log_n, shift)
         rest = np.flatnonzero(~on)
     width = min(n_terms, ROW_ELEMS)
-    for start in range(0, rest.size, ROW_ELEMS // width):
-        r = rest[start:start + ROW_ELEMS // width]
+    step = direct_rows(width)
+    for start in range(0, rest.size, step):
+        r = rest[start:start + step]
         for k, (n, log_n) in enumerate(term_parts(n_terms, width)):
             piece = np.sum(direct(r, n) * n_pow_minus_it(x[r], log_n), axis=1)
             out[r] = piece if k == 0 else out[r] + piece

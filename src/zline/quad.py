@@ -276,6 +276,22 @@ def z_from_integral(t: float, sigma: float = 4.0,
     return f.real / den, (2.0 * eps + roundoff) / den + 1e-14
 
 
+def f_grid_terms(t_min: float, t_max: float, points: int) -> int:
+    """Term count 2w + 2 of the kernel row of an F grid of `points` t in
+    [t_min, t_max] (f_integral_grid), w = ceil(W/h) for W the _f_window of
+    t_max at eps EPS_DEFAULT.  Refuses (ConvergenceError) work over the
+    budget before anything is allocated: first zeta's on the lattice x = jh,
+    j = floor(t_min/h) - w .. floor(t_max/h) + w + 1 (samples x its term
+    count), then the kernel's (points x 2w + 2)."""
+    h = _STEP
+    w = math.ceil(_f_window(t_max, 4.0, _angles.EPS_DEFAULT) / h)
+    lo = math.floor(t_min / h) - w
+    hi = math.floor(t_max / h) + w + 1
+    _angles.check_work(hi - lo + 1, zeta_terms(4.0, h * np.array([lo, hi])))
+    _angles.check_work(points, 2 * w + 2)
+    return 2 * w + 2
+
+
 def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     """F(t) at sigma = 4 for ascending t >= 0, from one evaluation of f on
     the step-h lattice x = jh.
@@ -294,9 +310,8 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     _angles.dirichlet_sums (in slices of 65536 samples, 8192 in t).  The
     products are BLAS sums (deterministic for fixed shapes); the small
     loss of exact rounding only perturbs tracked phases at the 1e-10 rad
-    level.  Work over the budget, zeta's (lattice samples x its term
-    count) and then the kernel's (points x (2w + 2) terms), is refused
-    before f, and zeta in it, is formed on the lattice.
+    level.  Work over the budget is refused by f_grid_terms before f, and
+    zeta in it, is formed on the lattice.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
@@ -304,13 +319,12 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     if np.any(ts < 0.0) or np.any(ts[1:] < ts[:-1]):
         raise ValueError("ts must be ascending and nonnegative")
     h = _STEP
-    w = math.ceil(_f_window(float(ts[-1]), 4.0, _angles.EPS_DEFAULT) / h)
+    width = f_grid_terms(float(ts[0]), float(ts[-1]), ts.size)
+    w = width // 2 - 1
     lo = math.floor(ts[0] / h) - w
     x = h * np.arange(lo, math.floor(ts[-1] / h) + w + 2)
-    _angles.check_work(x.size, zeta_terms(4.0, x))
-    _angles.check_work(ts.size, 2 * w + 2)
     y = f_on_line(x)
-    windows = sliding_window_view(y, 2 * w + 2)
+    windows = sliding_window_view(y, width)
     # h a power of two: k, kh and r are exact, 0 <= r < h
     k = np.floor(ts / h)
     r = ts - h * k
@@ -320,7 +334,7 @@ def f_integral_grid(ts: np.ndarray) -> np.ndarray:
     order = np.argsort(group, kind="stable")
     ends = np.cumsum(np.bincount(group))
     u = h * np.arange(-w, w + 2)
-    chunk = max(1, _angles.ROW_ELEMS // (2 * w + 2))
+    chunk = max(1, _angles.ROW_ELEMS // width)
     out = np.empty(ts.size, dtype=complex)
     begin = 0
     for b, end in zip(bins, ends):

@@ -12,6 +12,7 @@ evaluator on a rectangle off the real axis (the x-ray).
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import _angles
 from .errors import ConvergenceError, PhaseTrackError
-from .quad import f_integral_grid
+from .quad import f_grid_terms, f_integral_grid
 from .series import h_grid_terms, h_series_grid
 from .special import oracle_terms, z_oracle
 
@@ -215,6 +216,15 @@ def _lattice_size(a: float, b: float, step: float) -> int:
     return math.ceil(count) + 1
 
 
+def _lattice_points(a: float, b: float, step: float) -> int:
+    """Points of _lattice(a, b, step) exactly, without building it: b and
+    the values below it of the _lattice_size - 1 that np.arange forms, a,
+    a + step and a + i ((a + step) - a) for i >= 2, found by bisection."""
+    d = (a + step) - a
+    return 1 + bisect.bisect_left(range(_lattice_size(a, b, step) - 1), b,
+                                  key=lambda i: a + i * (step if i < 2 else d))
+
+
 def _lattice(a: float, b: float, step: float) -> np.ndarray:
     """a, a + step, ... below b, then b itself: strictly increasing even
     when the last arange point rounds to b or above."""
@@ -265,13 +275,15 @@ def phase_count_check(a: float, b: float, step: float = 0.05) -> ZeroScanReport:
     for sign changes on the same grid, and records the verdict of
     |delta_phi| / pi < count + 1.  An unresolved phase raises
     PhaseTrackError, work over the budget ConvergenceError (the oracle's
-    scan is checked before the grid exists).
+    scan, then the F grid's zeta and kernel, are checked before the grid
+    exists).
     """
     a = float(a)
     b = float(b)
     if not (a >= 10.0 and a < b):
         raise ValueError("need 10 <= a < b")
     _angles.check_work(_lattice_size(a, b, step), oracle_terms(a, b))
+    f_grid_terms(a, b, _lattice_points(a, b, step))
     track = _refined_track(_lattice(a, b, step), f_integral_grid, "F")
     # z_oracle is looked up at each call, so a wrapper set on this
     # module's name sees every evaluation
@@ -402,13 +414,15 @@ def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
     15/2 + iz, summed in closed form.  A term is n^{-4} sech(w_n(z))
     n^{-i Re z} n^{Im z}, w_n = (7/4) log(z / 2 pi n^2).  Across a sub-tile
     with centre c every w_n moves by the same d = (7/4) log(z/c), so the
-    sub-tile costs K + 1 products (A_k o R) @ P^T: A_k the Taylor rows
+    sub-tile costs K + 1 products (A_k o R) @ P^T: A_k the Taylor row
     sech^(k)(w_n(c))/k!, R the rows n^{-i Re z} (phases always formed in
     longdouble), P the rows n^{Im z - 4}, weighted by d^k.  Sub-tiles whose
     d is out of reach of one expansion are halved; those that stay out of
     reach (near Re z ~ |Im z|, or small ones) are summed term by term.
-    The sums over n run in parts (_angles.term_parts) under
-    _angles.ROW_ELEMS elements.
+    The sums over n run in parts (_angles.term_parts) so wide that the
+    K + 1 rows of each order of the largest sub-tile would fill
+    _angles.ROW_ELEMS; one order's product is formed at a time, and the
+    term-by-term points go _angles.direct_rows points a block.
     """
     n0 = _xray_terms(float(res.max()), res.size * ims.size)
     z = res[:, None] + 1j * ims[None, :]
@@ -420,7 +434,8 @@ def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
         by_terms[i0:i1, j0:j1] = True
     ii, jj = np.nonzero(by_terms)
     out = np.zeros(z.shape, dtype=complex)
-    # n runs in parts whose widest block of rows stays under ROW_ELEMS
+    # n runs in parts whose widest block of rows, all K + 1 orders of a
+    # sub-tile, stays under ROW_ELEMS
     width = max([res.size, ims.size] + [s.shape[0] * s.shape[1] for s in acc])
     for _, ln in _angles.term_parts(n0, max(1, _angles.ROW_ELEMS // width)):
         ln_d = np.asarray(ln, dtype=float)
@@ -428,10 +443,12 @@ def _h_complex(res: np.ndarray, ims: np.ndarray) -> np.ndarray:
         powers = np.exp((ims[:, None] - 4.0) * ln_d)
         for (i0, i1, j0, j1, centre, order), s in zip(tiles, acc):
             w = 1.75 * (np.log(centre) - _angles.LOG_2PI - 2.0 * ln_d)
-            rows = (_angles.sech_taylor(w, order)[:, None, :]
-                    * phases[None, i0:i1]).reshape(-1, ln.size)
-            s += (rows @ powers[j0:j1].T).reshape(s.shape)
-        step = max(1, _angles.ROW_ELEMS // ln.size)
+            sech = _angles.sech_taylor(w, order)
+            # P^T cast to complex once, not by every order's product
+            pt = np.ascontiguousarray(powers[j0:j1].T, dtype=complex)
+            for k in range(order + 1):
+                s[k] += (sech[k] * phases[i0:i1]) @ pt
+        step = _angles.direct_rows(ln.size)
         for p0 in range(0, ii.size, step):
             i, j = ii[p0:p0 + step], jj[p0:p0 + step]
             w = 1.75 * (np.log(z[i, j])[:, None] - _angles.LOG_2PI - 2.0 * ln_d)

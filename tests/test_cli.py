@@ -163,6 +163,9 @@ def test_eval_approx_est_covers_phase_rounding(capsys, t, ref):
     # a step of 1.8e-10 next to g's zero at s = 5, checked before the nodes
     (("eval", "--t", "0", "--method", "integral", "--sigma", "4.999999999"),
      "1510047021757 points x 128 terms = 1.93e+14", 1),
+    # F's kernel over a 10,000,001-point grid, checked before the grid exists
+    (("scan", "--from", "90000", "--to", "100000", "--step", "0.001"),
+     "10000001 points x 2512 terms = 2.51e+10", 1),
 ])
 def test_work_over_budget_is_refused_at_once(capsys, argv, estimate, peak_mb):
     tracemalloc.start()

@@ -1,6 +1,7 @@
 """Phase tracking, zero counting, the winding cross-check, the
 perturbation argument, the normalized phase statistic, and the sign-grid
 export."""
+import hashlib
 import math
 import tracemalloc
 
@@ -27,7 +28,13 @@ from zline import (
 )
 
 from zline import _angles
-from zline.scan import _h_complex, _refined_track
+from zline.scan import (
+    _h_complex,
+    _lattice,
+    _lattice_points,
+    _lattice_size,
+    _refined_track,
+)
 
 FIRST_ZEROS = (14.134725141734695, 21.022039638771554, 25.010857580145688)
 
@@ -176,6 +183,22 @@ def test_phase_count_small_interval():
         assert report.count == count
         assert abs(report.delta_phi) / math.pi < count + 1
         assert report.verdict is True
+
+
+def test_lattice_points_count_the_built_grid():
+    # exact where _lattice_size counts one more (the last arange point
+    # rounds to b or above: 10.001 to 20.001, and 42 of these 400 windows)
+    rng = np.random.default_rng(27)
+    starts = np.round(rng.uniform(10.0, 1e5, 400), 3)
+    ends = starts + np.round(rng.uniform(0.5, 30.0, 400), 3)
+    steps = rng.choice([0.05, 0.025, 0.01, 0.001, 0.0004, 0.25], 400)
+    over = 0
+    for window in [(10.001, 20.001, 0.05)] + list(zip(starts.tolist(), ends.tolist(),
+                                                       steps.tolist())):
+        size = _lattice(*window).size
+        assert _lattice_points(*window) == size
+        over += _lattice_size(*window) == size + 1
+    assert over == 42
 
 
 def test_phase_count_zero_free_interval():
@@ -386,6 +409,44 @@ def test_xray_kernel_matches_direct(re0, re1, im0, im1, n, stride):
     assert float(np.max(np.abs(h - ref))) <= 1e-11 * float(np.max(np.abs(ref)))
     assert np.array_equal(np.sign(h.real), np.sign(ref.real))
     assert np.array_equal(np.sign(h.imag), np.sign(ref.imag))
+
+
+# sha256 of H's bytes on three boxes: one Taylor tile at Re z ~ 2e4,
+# halved Taylor and direct sub-tiles near Re z ~ |Im z|, and a 60 x 50 box
+# of several sub-tiles.  Like the other frozen bits, they hold on this
+# machine's SIMD and BLAS path (ROADMAP item 17)
+@pytest.mark.parametrize("box, digest", [
+    ((20000.0, 20010.0, -2.0, 4.0, 40, 40),
+     "9be47f39e08e2cf8a126a34ba12d15c4f646d54f1019acdd5dbf88548aab2962"),
+    ((2.0, 12.0, -2.0, 4.0, 40, 40),
+     "ba9a067072e1eaf28420a2e5128dd4cdd0815f7032d4db96da1c5bcad8e1a3cd"),
+    ((100.0, 140.0, -2.5, 3.5, 60, 50),
+     "cf3951008e0205f3e47356a97471e5da50f5f279cb1176d94f12975e475adec0"),
+])
+def test_xray_frozen_bits(box, digest):
+    h = xray_grid(*box)[2]
+    assert hashlib.sha256(h.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("box, bound_mb", [
+    # 28.3 MB traced with the Taylor rows of all orders stacked in one
+    # product, 13.2 MB with one product per order
+    ((20000.0, 20010.0, -2.0, 4.0, 40, 40), 20),
+    # 84.9 MB with direct blocks of ROW_ELEMS elements an array, 14.9 MB
+    # with their temporaries counted together
+    ((2.0, 12.0, -2.0, 4.0, 40, 40), 40),
+])
+def test_xray_keeps_one_block_of_temporaries(box, bound_mb):
+    re0, re1, im0, im1, n_re, n_im = box
+    res, ims = np.linspace(re0, re1, n_re), np.linspace(im0, im1, n_im)
+    _h_complex(res, ims)  # the term table, kept between calls, is built
+    tracemalloc.start()
+    try:
+        _h_complex(res, ims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb << 20
 
 
 def test_xray_box_has_sign_changes():

@@ -1,6 +1,7 @@
 """Series layer: exact Eulerian polynomials, closed-form cosh moments,
 the H_r evaluators with proven truncation, and the Z approximation."""
 import cmath
+import hashlib
 import math
 import tracemalloc
 
@@ -390,6 +391,36 @@ def test_h_series_grid_lattice_matches_direct(a, b, step):
     rows = np.arange(0, ts.size, max(1, ts.size // 2000))
     ref = _h_direct(ts[rows], h_grid_terms(float(ts.max()), ts.size))
     assert float(np.max(np.abs(grid[rows] - ref))) <= 1e-14 * float(np.max(np.abs(grid)))
+
+
+# sha256 of H's bytes on hstat's track grid to t = 2770 (lattice blocks,
+# and direct rows near t ~ 1) and on 20,000 scattered t in [1e4, 2e4]
+# (direct rows only).  Like the other frozen bits, they hold on this
+# machine's SIMD and BLAS path (ROADMAP item 17)
+_SCATTERED = np.sort(np.random.default_rng(27).uniform(1e4, 2e4, 20000))
+
+
+@pytest.mark.parametrize("ts, digest", [
+    (np.unique(np.append(_lattice(1.0, 2770.0, 0.05), 2770.0)),
+     "13690e8d8d73b6e7f56ffc91dd54ee642164210d1fdd8727821bb8002cb16ae6"),
+    (_SCATTERED, "4bc49499a9370c3bbc152f6d4619b493849b8c9ad0d4a0b79fb333a9cfbc2b5e"),
+])
+def test_h_series_grid_frozen_bits(ts, digest):
+    assert hashlib.sha256(h_series_grid(ts).tobytes()).hexdigest() == digest
+
+
+def test_h_series_grid_direct_blocks_peak():
+    # 20,000 scattered t take the direct route: 48.6 MB traced with blocks
+    # of ROW_ELEMS elements an array, 6.5 MB with ROW_ELEMS elements over
+    # all of a block's temporaries
+    h_series_grid(_SCATTERED)  # the term table, kept between calls, is built
+    tracemalloc.start()
+    try:
+        h_series_grid(_SCATTERED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
 
 
 # ----------------------------------------------------------------- z_approx

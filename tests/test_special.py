@@ -1,6 +1,7 @@
 """Special-function layer: log-Gamma, zeta on and right of the critical
 line, the Riemann-Siegel phase, the Z oracle, and the upper incomplete
 Gamma function with its decay bound."""
+import hashlib
 import math
 
 import numpy as np
@@ -102,6 +103,17 @@ def test_zeta_frozen_references(sigma, refs):
         n = np.arange(1, _angles.em_terms(sigma, t, tol) + 1)
         roundoff = 2.0 ** -52 * float(np.sum(n ** -sigma))
         assert abs(zeta(complex(sigma, t)) - ref) <= tol + roundoff, t
+
+
+# sha256 of zeta's bytes at 300 scattered s (direct rows) on sigma = 0.5
+# and 4, on this machine's SIMD and BLAS path (ROADMAP item 17)
+@pytest.mark.parametrize("sigma, digest", [
+    (0.5, "4a4ce6696c579ee99ddacd9f4b5687aa0af9d428581f429fa7674b40474a02a8"),
+    (4.0, "c7ebce6bce80f5dc0e72b4d9acaca0b018f5a3f110eed0f7c3f6daa2b3fd2c17"),
+])
+def test_zeta_scattered_frozen_bits(sigma, digest):
+    s = sigma + 1j * np.sort(np.random.default_rng(27).uniform(50.0, 900.0, 300))
+    assert hashlib.sha256(zeta(s).tobytes()).hexdigest() == digest
 
 
 def test_em_terms():
